@@ -412,28 +412,21 @@ void InvariantAuditor::check_sender(uint32_t flow_id, const TcpSender& sender,
   }
 }
 
-void InvariantAuditor::held_totals(int64_t& packets, int64_t& bytes) const {
-  for (const QueueShadow& s : queues_) {
-    packets += static_cast<int64_t>(s.queue->queued_packets());
-    bytes += s.queue->queued_bytes();
-  }
-  for (const PacketHolder& h : holders_) h.held(packets, bytes);
-}
-
 void InvariantAuditor::run_checks(Time now) {
   ++checks_run_;
 
   // Conservation: every injected packet is delivered, dropped, or held by
   // some component. Valid at event boundaries (the checkpoint runs as its
-  // own event, so no packet is mid-handoff on the call stack). Skipped
-  // when this auditor covers only one shard domain — packets legally
-  // leave for other domains, and the fabric checks the global equation.
+  // own event, so no packet is mid-handoff on the call stack).
   int64_t held_packets = 0;
   int64_t held_bytes = 0;
-  held_totals(held_packets, held_bytes);
-  if (!conservation_external_ &&
-      (injected_packets_ != delivered_packets_ + dropped_packets_ + held_packets ||
-       injected_bytes_ != delivered_bytes_ + dropped_bytes_ + held_bytes)) {
+  for (const QueueShadow& s : queues_) {
+    held_packets += static_cast<int64_t>(s.queue->queued_packets());
+    held_bytes += s.queue->queued_bytes();
+  }
+  for (const PacketHolder& h : holders_) h.held(held_packets, held_bytes);
+  if (injected_packets_ != delivered_packets_ + dropped_packets_ + held_packets ||
+      injected_bytes_ != delivered_bytes_ + dropped_bytes_ + held_bytes) {
     violation(
         "conservation", kNoFlow, now,
         fmt("injected %lld pkts/%lld B != delivered %lld/%lld + dropped "

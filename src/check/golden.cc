@@ -125,8 +125,8 @@ std::vector<GoldenCell> golden_grid() {
   // Workload cells: pin the open-loop engine (src/workload/) — the
   // derive_workload_seed stream, the fork/size/gap draw order, app-limited
   // release timing, and the FCT-recorder sketch bytes in the serialized
-  // result. Both keep background groups so the sharded differential wall
-  // above also covers dynamic flows riding on a sharded fabric.
+  // result. Both keep background groups, so dynamic flows are pinned
+  // competing with fixed ones.
   {
     // Short web objects against heavy bulk transfers in the Edge regime:
     // the paper's "millions of users" mix scaled to the golden timeline.

@@ -8,8 +8,6 @@
 #include "src/cca/cca.h"
 #include "src/harness/flow_table.h"
 #include "src/net/topology.h"
-#include "src/sim/parallel/fabric.h"
-#include "src/sim/parallel/shard_plan.h"
 #include "src/sim/simulator.h"
 #include "src/util/logging.h"
 #include "src/util/rng.h"
@@ -250,35 +248,6 @@ class ChurnDriver final : public EventHandler {
   int64_t reaped_goodput_bytes_ = 0;
 };
 
-void finish_result(const ChurnSpec& spec, const FlowTable& table,
-                   const std::vector<FlowTable::Slot>& background,
-                   const ChurnDriver& driver, DumbbellTopology& topo,
-                   Time end_time, ChurnResult& result) {
-  // Goodput over the whole run (churn flows start mid-run, so per-window
-  // snapshots are less meaningful than for fixed flows). Integer sums of
-  // byte counts < 2^53 are exact in any order, so splitting churn goodput
-  // between reap time and run end reproduces the historical creation-order
-  // double sum exactly.
-  int64_t background_bytes = 0;
-  for (const FlowTable::Slot& slot : background) {
-    background_bytes += slot.receiver->goodput_bytes();
-  }
-  const int64_t total_bytes = background_bytes + driver.churn_goodput_bytes();
-  const double duration = end_time.sec();
-  const double payload_capacity =
-      static_cast<double>(spec.scenario.net.bottleneck_rate.bits_per_sec()) *
-      static_cast<double>(kMssBytes) / static_cast<double>(kDataPacketBytes);
-  result.utilization =
-      static_cast<double>(total_bytes) * 8.0 / duration / payload_capacity;
-  result.background_goodput_bps =
-      static_cast<double>(background_bytes) * 8.0 / duration;
-  result.queue = topo.bottleneck_queue().stats();
-  result.slots_recycled = table.slabs_recycled();
-  result.slab_reuses = table.slab_reuses();
-}
-
-ChurnResult run_churn_sharded(const ChurnSpec& spec);
-
 }  // namespace
 
 ChurnResult run_churn_experiment(const ChurnSpec& spec) {
@@ -291,16 +260,6 @@ ChurnResult run_churn_experiment(const ChurnSpec& spec) {
     Rng probe(0);
     (void)make_cca(spec.cca, probe);
   }
-  if (spec.shards < 1) throw std::invalid_argument("shards must be >= 1");
-  const int n_bg = background_count(spec);
-  if (spec.shards > 1 && n_bg > 0 && spec.shards > n_bg) {
-    throw std::invalid_argument(
-        "shards exceed background flow count: every domain needs at least "
-        "one flow");
-  }
-  // Only background flows shard (header comment); with none, the sharded
-  // run would be the serial run with idle domains, so run it serially.
-  if (spec.shards > 1 && n_bg > 0) return run_churn_sharded(spec);
 
   Simulator sim;
   Rng rng(spec.seed);
@@ -310,7 +269,7 @@ ChurnResult run_churn_experiment(const ChurnSpec& spec) {
   ChurnResult result;
   FlowTable table;
   std::vector<FlowTable::Slot> background;
-  background.reserve(static_cast<size_t>(n_bg));
+  background.reserve(static_cast<size_t>(background_count(spec)));
   uint32_t next_flow_id = 0;
 
   const Time end_time = Time::zero() + spec.scenario.stagger +
@@ -339,7 +298,27 @@ ChurnResult run_churn_experiment(const ChurnSpec& spec) {
 
   sim.run_until(end_time);
 
-  finish_result(spec, table, background, driver, topo, end_time, result);
+  // Goodput over the whole run (churn flows start mid-run, so per-window
+  // snapshots are less meaningful than for fixed flows). Integer sums of
+  // byte counts < 2^53 are exact in any order, so splitting churn goodput
+  // between reap time and run end reproduces the historical creation-order
+  // double sum exactly.
+  int64_t background_bytes = 0;
+  for (const FlowTable::Slot& slot : background) {
+    background_bytes += slot.receiver->goodput_bytes();
+  }
+  const int64_t total_bytes = background_bytes + driver.churn_goodput_bytes();
+  const double duration = end_time.sec();
+  const double payload_capacity =
+      static_cast<double>(spec.scenario.net.bottleneck_rate.bits_per_sec()) *
+      static_cast<double>(kMssBytes) / static_cast<double>(kDataPacketBytes);
+  result.utilization =
+      static_cast<double>(total_bytes) * 8.0 / duration / payload_capacity;
+  result.background_goodput_bps =
+      static_cast<double>(background_bytes) * 8.0 / duration;
+  result.queue = topo.bottleneck_queue().stats();
+  result.slots_recycled = table.slabs_recycled();
+  result.slab_reuses = table.slab_reuses();
 
   log_info("churn done: %llu started, %llu completed, util %.3f",
            static_cast<unsigned long long>(result.flows_started),
@@ -347,84 +326,5 @@ ChurnResult run_churn_experiment(const ChurnSpec& spec) {
            result.utilization);
   return result;
 }
-
-namespace {
-
-// Sharded churn: background flows live on edge domains, dynamic flows on
-// the core. Mirrors the serial path statement for statement — same master
-// RNG draw order (background forks + stagger draws at setup, fork +
-// size + gap draws inside core-resident arrival events) — so the results
-// are byte-identical to the serial run.
-ChurnResult run_churn_sharded(const ChurnSpec& spec) {
-  Simulator sim;
-  Rng rng(spec.seed);
-  DumbbellTopology topo(sim, spec.scenario.net);
-  topo.bottleneck_queue().set_drop_log_enabled(false);
-
-  TimeDelta lookahead = TimeDelta::infinite();
-  for (const FlowGroup& g : spec.background) {
-    lookahead = std::min(lookahead, g.rtt / 2);
-  }
-  if (lookahead < TimeDelta::nanos(2)) {
-    throw std::invalid_argument(
-        "shards > 1 needs a minimum background RTT of at least 4ns");
-  }
-  ShardPlan plan;
-  plan.shards = spec.shards;
-  plan.sharded_flows = static_cast<uint32_t>(background_count(spec));
-  ShardFabric fabric(sim, plan, lookahead);
-  topo.forward_netem().set_relay(&fabric);
-  topo.reverse_netem().set_relay(&fabric);
-  fabric.set_core_ack_entry(&topo.ack_entry());
-
-  ChurnResult result;
-  // Declared after the fabric so flows are torn down while every domain
-  // sim is still alive.
-  FlowTable table;
-  std::vector<FlowTable::Slot> background;
-  background.reserve(static_cast<size_t>(background_count(spec)));
-  uint32_t next_flow_id = 0;
-
-  const Time end_time = Time::zero() + spec.scenario.stagger +
-                        spec.scenario.warmup + spec.scenario.measure;
-
-  for (const FlowGroup& g : spec.background) {
-    for (int i = 0; i < g.count; ++i) {
-      const uint32_t id = next_flow_id++;
-      const int d = plan.domain_of(id);
-      Simulator& fsim = fabric.domain_sim(d);
-      const FlowTable::Slot slot =
-          table.create(fsim, id, rng.fork(), g.cca, &fabric.data_gate(d),
-                       &fabric.ack_gate(d), spec.tcp, spec.receiver);
-      topo.register_flow(id, g.rtt, slot.sender, slot.receiver);
-      fabric.delivery(d).register_flow(id, slot.sender, slot.receiver);
-      fabric.set_core_data_entry(id, &topo.data_entry(id));
-      TcpSender* sender = slot.sender;
-      fsim.schedule_fn_at(
-          Time::seconds_f(rng.next_double() * spec.scenario.stagger.sec()),
-          [sender] { sender->start(); });
-      background.push_back(slot);
-    }
-  }
-
-  // Dynamic flows: core-resident, wired straight into the topology — the
-  // relay only claims flows below plan.sharded_flows. The reaper never
-  // touches background flows, so recycling stays a core-phase-only affair.
-  ChurnDriver driver(sim, topo, table, rng, spec, result, end_time);
-  driver.set_next_flow_id(next_flow_id);
-  driver.begin();
-
-  fabric.run_to(end_time);
-
-  finish_result(spec, table, background, driver, topo, end_time, result);
-
-  log_info("churn done (%d shards): %llu started, %llu completed, util %.3f",
-           spec.shards, static_cast<unsigned long long>(result.flows_started),
-           static_cast<unsigned long long>(result.flows_completed),
-           result.utilization);
-  return result;
-}
-
-}  // namespace
 
 }  // namespace ccas

@@ -37,14 +37,6 @@ struct ChurnSpec {
   // Safety cap on simultaneously active churn flows (arrivals beyond it
   // are dropped and counted).
   int max_concurrent = 20'000;
-
-  // Event-domain count (src/sim/parallel/). Background flows shard over
-  // the domains; dynamic churn flows always stay core-resident — they are
-  // created from the master RNG in arrival order, which only the core's
-  // event order reproduces. With no background flows a shards > 1 run is
-  // therefore identical to the serial path and runs serially. Results are
-  // byte-identical across shard counts.
-  int shards = 1;
 };
 
 struct ChurnResult {

@@ -291,8 +291,6 @@ std::string cli_usage() {
          "  --csv=<prefix>        write trace CSVs with this prefix\n"
          "  --seeds=<n,n,...>     run one cell per seed (parallel sweep)\n"
          "  --jobs=<n>            worker threads (default: hardware concurrency)\n"
-         "  --shards=<n>          event domains per cell (default 1, or the\n"
-         "                        CCAS_SHARDS env); any n is byte-identical\n"
          "  --cache-dir=<path>    enable the on-disk result cache\n"
          "  --no-cache            bypass the cache even if a dir is set\n"
          "  --cell-timeout=<sec>  wall-clock watchdog per cell attempt\n"
@@ -312,12 +310,6 @@ CliOptions parse_cli(const std::vector<std::string>& args) {
   CliOptions opts;
   opts.spec.scenario = Scenario::core_scale();
   opts.sweep = sweep::sweep_options_from_env();
-  // Environment default for sharding; an explicit --shards flag wins.
-  if (const char* env = std::getenv("CCAS_SHARDS"); env != nullptr && *env != '\0') {
-    const int64_t v = parse_integer("CCAS_SHARDS", env);
-    if (v <= 0) throw std::invalid_argument("CCAS_SHARDS needs a positive integer");
-    opts.spec.shards = static_cast<int>(v);
-  }
   bool have_groups = false;
   bool have_rate = false;
   bool have_buffer = false;
@@ -634,14 +626,6 @@ CliOptions parse_cli(const std::vector<std::string>& args) {
       // zero workers and must not silently run at full parallelism.
       if (v <= 0) throw std::invalid_argument("--jobs needs a positive integer");
       opts.sweep.jobs = static_cast<int>(v);
-    } else if (key == "--shards") {
-      need_value();
-      const int64_t v = parse_integer(key, value);
-      // Like --jobs: an explicit --shards=0 is a typo, not "serial".
-      // --shards composes with --jobs (jobs cells in flight, each sharded
-      // over its own domains); results stay byte-identical either way.
-      if (v <= 0) throw std::invalid_argument("--shards needs a positive integer");
-      opts.spec.shards = static_cast<int>(v);
     } else if (key == "--cache-dir") {
       need_value();
       opts.sweep.cache_dir = value;
@@ -1099,7 +1083,6 @@ SpecCliRendering spec_to_cli(const ExperimentSpec& spec) {
   if (spec.trace_interval > TimeDelta::zero()) {
     flag("--trace", render_flag_seconds(spec.trace_interval));
   }
-  if (spec.shards != 1) flag("--shards", std::to_string(spec.shards));
 
   const WorkloadSpec& wl = spec.workload;
   if (wl.enabled()) {

@@ -31,12 +31,9 @@ struct ExperimentSpec {
   std::vector<FlowGroup> groups;
   uint64_t seed = 1;
 
-  // Event-domain count for the conservative parallel engine (src/sim/
-  // parallel/): 1 = the historical single-threaded path, N > 1 shards the
-  // flows over N domains synchronized at the bottleneck. Results are
-  // byte-identical across shard counts (the differential test wall pins
-  // this), so `shards` only enters the canonical spec encoding when
-  // non-default — golden digests and cache keys keep their bytes.
+  // Must stay 1: a run is one serial event engine, and validation rejects
+  // any other value. Parallelism comes from running cells concurrently
+  // (--jobs, ccas_fleet). Not part of the canonical spec encoding.
   int shards = 1;
 
   TcpSenderConfig tcp;
@@ -44,11 +41,10 @@ struct ExperimentSpec {
 
   // Open-loop workload riding on top of (or instead of) the fixed groups:
   // session arrivals, heavy-tailed sizes, app-limited pacing models, FCT
-  // percentile stats per class (src/workload/). Disabled by default; like
-  // `shards`, its fields enter the canonical spec encoding only when
-  // enabled, so every pre-workload golden digest and cache key keeps its
-  // bytes. Workload flows draw from a dedicated derive_workload_seed
-  // stream and always live on the core simulator under --shards > 1.
+  // percentile stats per class (src/workload/). Disabled by default; its
+  // fields enter the canonical spec encoding only when enabled, so every
+  // pre-workload golden digest and cache key keeps its bytes. Workload
+  // flows draw from a dedicated derive_workload_seed stream.
   WorkloadSpec workload;
 
   // Optional early stop: sample aggregate goodput every `convergence_poll`

@@ -4,11 +4,11 @@
 #include <functional>
 #include <memory>
 #include <stdexcept>
+#include <string>
 
 #include "src/cca/cca.h"
 #include "src/check/audit.h"
 #include "src/harness/flow_table.h"
-#include "src/harness/shard_runner.h"
 #include "src/stats/fairness.h"
 #include "src/net/topology.h"
 #include "src/sim/simulator.h"
@@ -69,15 +69,11 @@ void validate(const ExperimentSpec& spec) {
   if (spec.scenario.measure <= TimeDelta::zero()) {
     throw std::invalid_argument("non-positive measurement window");
   }
-  if (spec.shards < 1) {
-    throw std::invalid_argument("shards must be >= 1");
-  }
-  // Only fixed groups shard; a workload-only spec runs serially at any
-  // shard count (dynamic flows are core-resident), so it has no minimum.
-  if (spec.shards > 1 && spec.total_flows() > 0 &&
-      spec.shards > spec.total_flows()) {
+  if (spec.shards != 1) {
     throw std::invalid_argument(
-        "shards exceed flow count: every domain needs at least one flow");
+        "shards=" + std::to_string(spec.shards) +
+        ": within-cell sharding is not supported (every run is one serial "
+        "event engine); parallelise across cells with --jobs or ccas_fleet");
   }
   spec.scenario.net.impairments.validate();
   spec.scenario.net.qdisc.validate();
@@ -103,13 +99,6 @@ ExperimentResult run_experiment(const ExperimentSpec& spec) {
 
 ExperimentResult run_experiment(const ExperimentSpec& spec, const SimBudget* budget) {
   validate(spec);
-  // Workload-only specs run serially at any shard count: dynamic flows are
-  // core-resident (see engine.h), so the sharded run would be the serial
-  // run with idle domains (the churn precedent).
-  if (spec.shards > 1 && spec.total_flows() > 0) {
-    return run_experiment_sharded(spec, budget);
-  }
-
   Simulator sim;
   Rng rng(spec.seed);
 
@@ -259,7 +248,7 @@ ExperimentResult run_experiment(const ExperimentSpec& spec, const SimBudget* bud
   // driven from a dedicated seed stream (never the master rng, whose draw
   // order the pre-workload goldens pin). Dynamic flow ids continue after
   // the fixed groups. Declared after `table` (teardown order) and started
-  // after the stagger draws, mirrored exactly in the sharded runner.
+  // after the stagger draws.
   std::unique_ptr<WorkloadEngine> workload;
   const Time run_end = Time::zero() + spec.scenario.stagger +
                        spec.scenario.warmup + spec.scenario.measure;

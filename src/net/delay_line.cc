@@ -41,11 +41,8 @@ void NetemDelay::set_jitter(TimeDelta jitter, uint64_t seed) {
 }
 
 void NetemDelay::accept(Packet&& pkt) {
-  // The release time (including the jitter draw and the per-flow ordering
-  // clamp) is computed up front, in accept order, so the RNG stream and the
-  // clamp state are identical whether the delivery is scheduled here or
-  // handed to a relay. The relay must see the final release time: it is the
-  // cross-domain deliver_at.
+  // The release time includes the jitter draw and the per-flow ordering
+  // clamp, both taken in accept order.
   const uint32_t flow = pkt.flow_id;
   if (flow >= lanes_.size()) lanes_.resize(flow + 1);
   FlowLane& lane = lanes_[flow];
@@ -55,11 +52,6 @@ void NetemDelay::accept(Packet&& pkt) {
     // Clamp so packets of one flow never reorder.
     if (release < lane.last_release) release = lane.last_release;
     lane.last_release = release;
-  }
-  if (relay_ != nullptr && relay_->offload(flow, release, std::move(pkt))) {
-    // Offloaded packets are accounted by the receiving domain's delivery
-    // stage, not here: in_transit_ tracks only locally scheduled packets.
-    return;
   }
   uint32_t slot;
   if (!free_slots_.empty()) {

@@ -36,18 +36,6 @@ class DelayLine final : public PacketSink, public EventHandler {
   RingBuffer<Packet> fifo_;
 };
 
-// Offload target for NetemDelay: the shard fabric installs one so that
-// deliveries to flows homed on another event domain are handed over (with
-// the fully computed release time) instead of scheduled locally. Kept as a
-// tiny interface — not std::function — so the unsharded hot path pays one
-// null check and the sharded path one devirtualized call.
-struct NetemRelay {
-  virtual ~NetemRelay() = default;
-  // Returns true if the packet was taken over; false means the flow is
-  // local and NetemDelay must schedule the delivery itself.
-  virtual bool offload(uint32_t flow_id, Time deliver_at, Packet&& pkt) = 0;
-};
-
 class NetemDelay final : public PacketSink, public EventHandler {
  public:
   NetemDelay(Simulator& sim, PacketSink* dest);
@@ -66,11 +54,6 @@ class NetemDelay final : public PacketSink, public EventHandler {
 
   void accept(Packet&& pkt) override;
   void on_event(uint32_t tag, uint64_t arg) override;
-
-  // Installs (or clears, with nullptr) the shard fabric's offload target.
-  // Release times are computed before the offload decision, so the jitter
-  // RNG stream is identical with or without a relay installed.
-  void set_relay(NetemRelay* relay) { relay_ = relay; }
 
   // Capacity hints (no observable effect): size the per-flow lane table
   // for `flows` flows, and the in-flight slot pool for `packets` packets,
@@ -97,7 +80,6 @@ class NetemDelay final : public PacketSink, public EventHandler {
 
   Simulator& sim_;
   PacketSink* dest_;
-  NetemRelay* relay_ = nullptr;
   std::vector<FlowLane> lanes_;
   TimeDelta jitter_ = TimeDelta::zero();
   std::unique_ptr<Rng> jitter_rng_;

@@ -15,13 +15,7 @@ EventQueue::EventQueue(SimProfile* profile) : profile_(profile) {
 }
 
 void EventQueue::push(Time at, EventHandler* handler, uint32_t tag, uint64_t arg) {
-  place(Event{at, next_seq_++, Time::zero(), handler, arg, 0, tag});
-  ++size_;
-}
-
-void EventQueue::push_keyed(Time at, CausalKey key, EventHandler* handler,
-                            uint32_t tag, uint64_t arg) {
-  place(Event{at, next_seq_++, key.armed_at, handler, arg, key.ctr, tag});
+  place(Event{at, next_seq_++, handler, arg, tag});
   ++size_;
 }
 

@@ -38,9 +38,6 @@ class EventQueue {
   explicit EventQueue(SimProfile* profile = nullptr);
 
   void push(Time at, EventHandler* handler, uint32_t tag, uint64_t arg);
-  // Sharded-mode push carrying a causal ordering key (see event.h).
-  void push_keyed(Time at, CausalKey key, EventHandler* handler, uint32_t tag,
-                  uint64_t arg);
 
   [[nodiscard]] bool empty() const { return size_ == 0; }
   [[nodiscard]] size_t size() const { return size_; }

@@ -61,14 +61,6 @@ std::string SimProfile::summary() const {
             static_cast<unsigned long long>(qdisc_head_drops),
             static_cast<unsigned long long>(qdisc_marks));
   }
-  if (shard_domains != 0) {
-    appendf(out,
-            "  shards: %llu domains, %llu windows, core %.3fs / edge %.3fs "
-            "wall\n",
-            static_cast<unsigned long long>(shard_domains),
-            static_cast<unsigned long long>(shard_windows),
-            shard_core_wall_seconds, shard_edge_wall_seconds);
-  }
   return out;
 }
 

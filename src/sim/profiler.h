@@ -62,16 +62,6 @@ struct SimProfile {
   double wall_seconds = 0.0;
   double sim_seconds = 0.0;
 
-  // Sharded-run accounting (src/sim/parallel/), filled only on aggregated
-  // profiles of multi-domain runs. Counter fields above are then sums over
-  // the core + all domains; wall_seconds is the fabric's end-to-end wall
-  // clock (honest parallel events/s), while the two phase clocks below
-  // split it into the serial core phase and the parallel edge phase.
-  uint64_t shard_domains = 0;
-  uint64_t shard_windows = 0;  // conservative windows executed
-  double shard_core_wall_seconds = 0.0;
-  double shard_edge_wall_seconds = 0.0;
-
   [[nodiscard]] uint64_t timer_wasted_wakeups() const {
     return timer_stale_wakeups + timer_chase_wakeups;
   }

@@ -11,25 +11,7 @@ namespace ccas {
 
 void Simulator::schedule_at(Time at, EventHandler* handler, uint32_t tag, uint64_t arg) {
   if (at < now_) throw std::invalid_argument("schedule_at: event in the past");
-  if (causal_) {
-    queue_.push_keyed(at, allocate_push_key(), handler, tag, arg);
-    return;
-  }
   queue_.push(at, handler, tag, arg);
-}
-
-void Simulator::schedule_at_keyed(Time at, CausalKey key, EventHandler* handler,
-                                  uint32_t tag, uint64_t arg) {
-  if (at < now_) throw std::invalid_argument("schedule_at_keyed: event in the past");
-  queue_.push_keyed(at, key, handler, tag, arg);
-}
-
-CausalKey Simulator::allocate_push_key() {
-  if (now_ != last_push_ns_) {
-    last_push_ns_ = now_;
-    *push_major_ptr_ = 0;
-  }
-  return CausalKey{now_, ++*push_major_ptr_};
 }
 
 void Simulator::schedule_in(TimeDelta delay, EventHandler* handler, uint32_t tag,
@@ -66,10 +48,6 @@ void Simulator::dispatch(const Event& e) {
   }
   if (auto* a = auditor()) a->on_event_dispatched(now_, e.at);
   now_ = e.at;
-  if (causal_) {
-    cur_armed_at_ = e.armed_at;
-    cur_ctr_ = e.ctr;
-  }
   ++events_processed_;
   ++profile_.events_dispatched;
   ++profile_.events_by_tag[e.tag < SimProfile::kMaxTag ? e.tag
@@ -117,56 +95,6 @@ void Simulator::run() {
   while (!stopped_ && !queue_.empty()) {
     dispatch(queue_.pop());
   }
-  profile_.heap_allocs += thread_heap_allocs() - allocs_start;
-  profile_.wall_seconds +=
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start)
-          .count();
-  profile_.sim_seconds += (now_ - sim_start).sec();
-}
-
-void Simulator::run_until_excl(Time bound) {
-  stopped_ = false;
-  if (queue_.empty() || queue_.top().at >= bound) {
-    // Fast path: nothing due before the bound. Advancing the clock is not
-    // "running", so no wall-clock accounting (the shard fabric calls this
-    // once per cross-domain injection).
-    if (now_ < bound) now_ = bound;
-    return;
-  }
-  const auto wall_start = std::chrono::steady_clock::now();
-  const Time sim_start = now_;
-  const uint64_t allocs_start = thread_heap_allocs();
-  while (!stopped_ && !queue_.empty() && queue_.top().at < bound) {
-    dispatch(queue_.pop());
-  }
-  if (!stopped_ && now_ < bound) now_ = bound;
-  profile_.heap_allocs += thread_heap_allocs() - allocs_start;
-  profile_.wall_seconds +=
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start)
-          .count();
-  profile_.sim_seconds += (now_ - sim_start).sec();
-}
-
-void Simulator::run_until_before(Time at, CausalKey key) {
-  stopped_ = false;
-  auto before = [&](const Event& e) {
-    if (e.at != at) return e.at < at;
-    if (e.armed_at != key.armed_at) return e.armed_at < key.armed_at;
-    return e.ctr < key.ctr;
-  };
-  if (queue_.empty() || !before(queue_.top())) {
-    // Fast path, mirroring run_until_excl: advancing the clock is not
-    // "running", so no wall-clock accounting.
-    if (now_ < at) now_ = at;
-    return;
-  }
-  const auto wall_start = std::chrono::steady_clock::now();
-  const Time sim_start = now_;
-  const uint64_t allocs_start = thread_heap_allocs();
-  while (!stopped_ && !queue_.empty() && before(queue_.top())) {
-    dispatch(queue_.pop());
-  }
-  if (!stopped_ && now_ < at) now_ = at;
   profile_.heap_allocs += thread_heap_allocs() - allocs_start;
   profile_.wall_seconds +=
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start)

@@ -8,8 +8,8 @@
 // that reintroduces per-event allocation fails CI even if the events/sec
 // number happens to absorb it (DESIGN.md §12).
 //
-// The counter is thread-local: a Simulator (serial, or one shard domain)
-// runs on exactly one thread at a time, so per-run deltas are exact.
+// The counter is thread-local: a Simulator runs on exactly one thread at a
+// time, so per-run deltas are exact.
 // Sanitizers keep working: the wrappers bottom out in malloc/free, which
 // ASan/TSan intercept underneath.
 #pragma once

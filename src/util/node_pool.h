@@ -17,7 +17,7 @@ namespace ccas {
 // the pool has reached its high-water set (DESIGN.md §12).
 //
 // Not thread-safe by design: each Simulator owns one pool, and a Simulator
-// (serial, or one shard domain) only ever runs on a single thread at a time.
+// only ever runs on a single thread at a time.
 class NodePool {
  public:
   NodePool() = default;

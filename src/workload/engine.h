@@ -9,9 +9,7 @@
 //
 // Determinism: the engine owns a dedicated Rng seeded with
 // derive_workload_seed(cell_seed), so it never draws from the master
-// stream — every pre-workload golden keeps its bytes — and it runs on the
-// core simulator under --shards > 1, so serial and sharded runs are
-// byte-identical (the relay never claims dynamic flow ids).
+// stream, so every pre-workload golden keeps its bytes.
 #pragma once
 
 #include <cstdint>

@@ -97,7 +97,7 @@ struct WorkloadSpec {
 // (SplitMix64 finalizer, like derive_impairment_seed / derive_qdisc_seed),
 // so arrival/size draws are independent of the master stream — whose
 // consumption order every pre-workload golden depends on — and identical
-// at any --jobs or --shards level.
+// at any --jobs level.
 [[nodiscard]] uint64_t derive_workload_seed(uint64_t cell_seed);
 
 // Parses an empirical CDF file: one "cum_prob segments" pair per line,

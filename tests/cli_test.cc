@@ -456,69 +456,18 @@ TEST(Cli, UsageMentionsSupervisionFlagsAndExitCodes) {
   EXPECT_NE(usage.find("Exit codes"), std::string::npos);
 }
 
-TEST(Cli, ShardsRequiresPositiveInteger) {
-  // Like --jobs: --shards=0 is a typo, not "serial"; fractions and
-  // exponents truncating would silently run a different partition.
-  EXPECT_THROW(parse_cli({"--groups=cubic:4:20", "--shards=0"}),
-               std::invalid_argument);
-  EXPECT_THROW(parse_cli({"--groups=cubic:4:20", "--shards=-2"}),
-               std::invalid_argument);
-  EXPECT_THROW(parse_cli({"--groups=cubic:4:20", "--shards=2.5"}),
-               std::invalid_argument);
-  EXPECT_THROW(parse_cli({"--groups=cubic:4:20", "--shards=1e2"}),
-               std::invalid_argument);
-  EXPECT_THROW(parse_cli({"--groups=cubic:4:20", "--shards=abc"}),
-               std::invalid_argument);
-  EXPECT_EQ(parse_cli({"--groups=cubic:4:20", "--shards=4"}).spec.shards, 4);
-  EXPECT_EQ(parse_cli({"--groups=cubic:4:20"}).spec.shards, 1);
-}
-
-TEST(Cli, ShardsEnvDefaultAndFlagPrecedence) {
-  setenv("CCAS_SHARDS", "3", 1);
-  EXPECT_EQ(parse_cli({"--groups=cubic:4:20"}).spec.shards, 3);
-  // An explicit flag wins over the environment default.
-  EXPECT_EQ(parse_cli({"--groups=cubic:4:20", "--shards=2"}).spec.shards, 2);
-  setenv("CCAS_SHARDS", "0", 1);
-  EXPECT_THROW(parse_cli({"--groups=cubic:4:20"}), std::invalid_argument);
-  setenv("CCAS_SHARDS", "junk", 1);
-  EXPECT_THROW(parse_cli({"--groups=cubic:4:20"}), std::invalid_argument);
-  // Empty means "not set".
-  setenv("CCAS_SHARDS", "", 1);
-  EXPECT_EQ(parse_cli({"--groups=cubic:4:20"}).spec.shards, 1);
-  unsetenv("CCAS_SHARDS");
-  EXPECT_EQ(parse_cli({"--groups=cubic:4:20"}).spec.shards, 1);
-}
-
-TEST(Cli, ShardsBeyondFlowCountIsASpecError) {
-  // Every domain needs at least one flow; the check lives in the runner's
-  // spec validation so it also guards API users, not just the CLI.
-  ExperimentSpec spec = parse_cli({"--groups=cubic:4:20", "--shards=5"}).spec;
-  EXPECT_THROW(run_experiment(spec), std::invalid_argument);
-  // --jobs controls sweep workers and must not loosen or tighten the
-  // per-cell shard validation.
-  const CliOptions o =
-      parse_cli({"--groups=cubic:4:20", "--shards=4", "--jobs=2"});
-  EXPECT_EQ(o.spec.shards, 4);
-  EXPECT_EQ(o.sweep.jobs, 2);
-}
-
-TEST(Cli, ShardsSpecCliRoundTrip) {
-  // Non-default shard counts render and reparse to the identical spec;
-  // the default renders to nothing (serial cache keys keep their bytes).
-  for (const char* flag : {"--shards=2", "--shards=8"}) {
-    const CliOptions original = parse_cli({"--groups=cubic:8:20", flag});
-    const SpecCliRendering rendering = spec_to_cli(original.spec);
-    EXPECT_TRUE(rendering.notes.empty());
-    const CliOptions reparsed = parse_cli(rendering.args);
-    EXPECT_EQ(reparsed.spec.shards, original.spec.shards);
-    EXPECT_EQ(sweep::canonical_spec_bytes(original.spec),
-              sweep::canonical_spec_bytes(reparsed.spec));
+TEST(Cli, ShardsFlagIsUnknown) {
+  // Within-cell sharding was removed: --shards is rejected like any other
+  // unknown flag (ccas_run maps this to exit 1, the usage error) and the
+  // usage text no longer offers it.
+  try {
+    (void)parse_cli({"--groups=cubic:4:20", "--shards=4"});
+    FAIL() << "--shards must be rejected";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("unknown flag '--shards'", 0), 0u)
+        << e.what();
   }
-  const CliOptions serial = parse_cli({"--groups=cubic:8:20"});
-  for (const std::string& arg : spec_to_cli(serial.spec).args) {
-    EXPECT_EQ(arg.find("--shards"), std::string::npos) << arg;
-  }
-  EXPECT_NE(cli_usage().find("--shards"), std::string::npos);
+  EXPECT_EQ(cli_usage().find("--shards"), std::string::npos);
 }
 
 TEST(Cli, WorkloadParsesFullConfiguration) {

@@ -29,7 +29,7 @@ class NullHandler : public EventHandler {
 class ReferenceHeap {
  public:
   void push(Time at, uint32_t tag, uint64_t arg) {
-    heap_.push(Event{at, next_seq_++, Time::zero(), nullptr, arg, 0, tag});
+    heap_.push(Event{at, next_seq_++, nullptr, arg, tag});
   }
   [[nodiscard]] bool empty() const { return heap_.empty(); }
   [[nodiscard]] size_t size() const { return heap_.size(); }

@@ -8,8 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <sstream>
 #include <string>
 
 #include "src/harness/runner.h"
@@ -110,77 +108,6 @@ TEST(golden, GridMatchesCheckedInDigests) {
   EXPECT_TRUE(diff.ok) << diff.report
                        << "re-record with `tools/ccas_check record` if this "
                           "behavior change is intended";
-}
-
-// The parallel-engine differential wall: every golden cell, re-run under
-// the shard fabric, must reproduce the *recorded* digest byte for byte —
-// at every shard count. The record is made against cell.spec (shards
-// defaulted), exactly as the serial suite records it, so any drift in
-// result bytes (throughput, fairness, drops, sim_events, traces) between
-// the serial and sharded engines fails here against the same goldens the
-// serial run is pinned to. CCAS_GOLDEN_SHARDS restricts the shard list
-// (e.g. "4" in the TSan CI job, where 3x grid re-runs would be too slow).
-TEST(golden, ShardedGridMatchesCheckedInDigests) {
-  const std::vector<GoldenRecord> expected = load_goldens(CCAS_GOLDENS_FILE);
-  ASSERT_FALSE(expected.empty());
-  auto find = [&](const std::string& name) -> const GoldenRecord* {
-    for (const GoldenRecord& r : expected) {
-      if (r.name == name) return &r;
-    }
-    return nullptr;
-  };
-
-  std::vector<int> shard_counts = {2, 4, 8};
-  if (const char* env = std::getenv("CCAS_GOLDEN_SHARDS")) {
-    shard_counts.clear();
-    std::stringstream ss(env);
-    std::string tok;
-    while (std::getline(ss, tok, ',')) shard_counts.push_back(std::stoi(tok));
-    ASSERT_FALSE(shard_counts.empty()) << "empty CCAS_GOLDEN_SHARDS";
-  }
-
-  size_t checked = 0;
-  for (const GoldenCell& cell : golden_grid()) {
-    const GoldenRecord* exp = find(cell.name);
-    ASSERT_NE(exp, nullptr) << cell.name;
-    for (int shards : shard_counts) {
-      // A domain without a flow is a spec error; small cells pin the
-      // lower shard counts only.
-      if (shards > cell.spec.total_flows()) continue;
-      ExperimentSpec spec = cell.spec;
-      spec.audit = true;
-      spec.shards = shards;
-      const ExperimentResult result = run_experiment(spec);
-      const GoldenRecord act = make_golden_record(cell.name, cell.spec, result);
-      EXPECT_EQ(act.digest, exp->digest)
-          << cell.name << " at --shards=" << shards
-          << " drifted from the recorded serial digest";
-      EXPECT_EQ(act.sim_events, exp->sim_events)
-          << cell.name << " at --shards=" << shards
-          << ": event-count parity with the serial engine broke";
-      ++checked;
-    }
-  }
-  // Every configured shard count must have been exercised on the cells
-  // large enough to host it.
-  EXPECT_GE(checked, golden_grid().size()) << "shard coverage collapsed";
-}
-
-// The spec hash must not change for serial specs: `shards` is appended to
-// the canonical bytes only when non-default, so recorded goldens and the
-// on-disk result cache keep their keys.
-TEST(golden, ShardsFieldKeepsSerialSpecBytes) {
-  for (const GoldenCell& cell : golden_grid()) {
-    ExperimentSpec spec = cell.spec;
-    spec.shards = 1;
-    ASSERT_EQ(sweep::canonical_spec_bytes(spec),
-              sweep::canonical_spec_bytes(cell.spec))
-        << cell.name << ": shards=1 changed the canonical spec bytes";
-    spec.shards = 2;
-    ASSERT_NE(sweep::canonical_spec_bytes(spec),
-              sweep::canonical_spec_bytes(cell.spec))
-        << cell.name << ": shards=2 must be visible in the canonical spec";
-  }
 }
 
 // Differential check for the qdisc refactor: routing a pre-qdisc cell

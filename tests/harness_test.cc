@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <stdexcept>
+#include <string>
 
 #include "src/harness/report.h"
 #include "src/harness/runner.h"
@@ -75,6 +77,26 @@ TEST(Runner, RejectsMalformedSpecs) {
   ExperimentSpec bad_rtt = tiny_spec();
   bad_rtt.groups[0].rtt = TimeDelta::zero();
   EXPECT_THROW(run_experiment(bad_rtt), std::invalid_argument);
+}
+
+TEST(Runner, RejectsShardedSpecs) {
+  // Within-cell sharding was removed; a spec asking for it must fail
+  // loudly rather than silently run serially. The message points at the
+  // cross-cell alternatives.
+  for (const int shards : {0, 2}) {
+    ExperimentSpec spec = tiny_spec();
+    spec.shards = shards;
+    try {
+      (void)run_experiment(spec);
+      FAIL() << "shards=" << shards << " must be rejected";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("shards=" + std::to_string(shards)), std::string::npos)
+          << what;
+      EXPECT_NE(what.find("--jobs"), std::string::npos) << what;
+      EXPECT_NE(what.find("ccas_fleet"), std::string::npos) << what;
+    }
+  }
 }
 
 TEST(Runner, ProducesConsistentResultStructure) {

@@ -1,7 +1,7 @@
 // Property tests for the open-loop workload engine (src/workload/):
 // ~200 random configurations covering distribution moments, Poisson
-// arrival statistics, same-seed byte-identical replay, serial-vs-sharded
-// and jobs-level result equality, and conservation under the auditor.
+// arrival statistics, same-seed byte-identical replay, jobs-level result
+// equality, and conservation under the auditor.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -163,7 +163,7 @@ TEST(WorkloadProperty, DeterministicArrivalsAreExactlyPaced) {
   }
 }
 
-// --------------------------------------------------- replay and shards ----
+// ---------------------------------------------------- replay and jobs ----
 
 // Random mixed config: optional background groups, 1-3 classes spanning
 // the app models and size kinds, random rates and caps.
@@ -242,23 +242,6 @@ TEST(WorkloadProperty, SameSeedReplayIsByteIdentical) {
     const std::string b = sweep::serialize_result(run_experiment(spec));
     EXPECT_EQ(a, b) << "config " << i;
     EXPECT_FALSE(a.empty());
-  }
-}
-
-TEST(WorkloadProperty, SerialAndShardedRunsAreByteIdentical) {
-  Rng meta(777);
-  for (int i = 0; i < 4; ++i) {
-    ExperimentSpec spec = random_workload_spec(meta, /*with_groups=*/true);
-    spec.shards = 1;
-    const std::string serial = sweep::serialize_result(run_experiment(spec));
-    for (const int shards : {2, 4}) {
-      spec.shards = shards;
-      ExperimentResult r = run_experiment(spec);
-      // The shards field enters the canonical spec encoding, so compare
-      // result payloads (what the digest wall hashes), not cache keys.
-      EXPECT_EQ(serial, sweep::serialize_result(r))
-          << "config " << i << " shards " << shards;
-    }
   }
 }
 

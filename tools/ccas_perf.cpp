@@ -34,7 +34,7 @@ using namespace ccas;
 
 struct BenchCell {
   std::string name;
-  ExperimentSpec spec;  // spec.shards > 1 = run on the parallel engine
+  ExperimentSpec spec;
 };
 
 FlowGroup group(const char* cca, int count, int rtt_ms) {
@@ -81,27 +81,16 @@ std::vector<BenchCell> all_cells() {
                                                {group("newreno", 120, 20), group("cubic", 80, 80)},
                                                0.5, 1.0, 3.0)});
   }
-  // Scale bands for the parallel engine (src/sim/parallel/): the paper's
-  // full CoreScale population and a 4x stress band, run sharded. Serial
-  // twins (shards 1) of the same specs give the speedup denominator —
-  // results are byte-identical by construction, so both twins report the
-  // same sim_events and only wall_sec/events_per_sec differ.
-  {
-    ExperimentSpec spec = pinned_spec(Scenario::core_scale(),
-                                      {group("newreno", 3000, 20), group("cubic", 2000, 80)},
-                                      0.5, 1.0, 2.0);
-    cells.push_back({"core5000", spec});
-    spec.shards = 8;
-    cells.push_back({"core5000-sh8", spec});
-  }
-  {
-    ExperimentSpec spec = pinned_spec(Scenario::core_scale(),
-                                      {group("newreno", 12000, 20), group("cubic", 8000, 80)},
-                                      0.5, 1.0, 1.0);
-    cells.push_back({"core20000", spec});
-    spec.shards = 8;
-    cells.push_back({"core20000-sh8", spec});
-  }
+  // Scale bands: the paper's full CoreScale population and a 4x stress
+  // band.
+  cells.push_back({"core5000",
+                   pinned_spec(Scenario::core_scale(),
+                               {group("newreno", 3000, 20), group("cubic", 2000, 80)},
+                               0.5, 1.0, 2.0)});
+  cells.push_back({"core20000",
+                   pinned_spec(Scenario::core_scale(),
+                               {group("newreno", 12000, 20), group("cubic", 8000, 80)},
+                               0.5, 1.0, 1.0)});
   // Userscale workload churn (src/workload/): 2000 open-loop short-flow
   // sessions/sec — 100k+ per simulated minute — pounding the dynamic
   // flow-table arena, the reaper, and the FCT sketches instead of a fixed
@@ -137,7 +126,6 @@ std::vector<BenchCell> all_cells() {
 struct CellResult {
   std::string name;
   int flows = 0;
-  int shards = 1;
   uint64_t sim_events = 0;
   double wall_sec = 0.0;
   double sim_sec = 0.0;
@@ -156,7 +144,6 @@ std::optional<double> degradation_ratio(const std::vector<CellResult>& results) 
   const CellResult* lo = nullptr;
   const CellResult* hi = nullptr;
   for (const CellResult& r : results) {
-    if (r.shards != 1) continue;  // compare like with like: serial cells
     if (lo == nullptr || r.flows < lo->flows) lo = &r;
     if (hi == nullptr || r.flows > hi->flows) hi = &r;
   }
@@ -183,11 +170,11 @@ std::string to_json(const std::vector<CellResult>& results) {
     // tens of milliseconds, where three decimals used to round away most
     // of the measurement (and any hand math against events_per_sec).
     std::snprintf(line, sizeof(line),
-                  "    {\"name\": \"%s\", \"flows\": %d, \"shards\": %d, "
+                  "    {\"name\": \"%s\", \"flows\": %d, "
                   "\"sim_events\": %llu, "
                   "\"wall_sec\": %.6f, \"sim_sec\": %.3f, \"events_per_sec\": %.0f, "
                   "\"allocs_per_event\": %.6f}",
-                  r.name.c_str(), r.flows, r.shards,
+                  r.name.c_str(), r.flows,
                   static_cast<unsigned long long>(r.sim_events), r.wall_sec,
                   r.sim_sec, r.events_per_sec, r.allocs_per_event);
     out << line << (i + 1 < results.size() ? "," : "") << "\n";
@@ -233,8 +220,7 @@ int main(int argc, char** argv) {
           "                 [--baseline=file.json] [--max-regress=frac]\n"
           "                 [--alloc-gate=allocs_per_event]\n"
           "cells: edge50 core1000 smoke-edge smoke-core core5000\n"
-          "       core5000-sh8 core20000 core20000-sh8 userscale2000\n"
-          "       smoke-userscale (default: all)\n"
+          "       core20000 userscale2000 smoke-userscale (default: all)\n"
           "exit 2 if any cell's events/sec falls more than max-regress\n"
           "(default 0.25) below the baseline, or if any cell's measured\n"
           "heap allocations per event exceed the --alloc-gate threshold\n"
@@ -291,7 +277,6 @@ int main(int argc, char** argv) {
         CellResult r;
         r.name = cell.name;
         r.flows = cell.spec.total_flows();
-        r.shards = cell.spec.shards;
         r.sim_events = res.sim_events;
         r.wall_sec = res.sim_profile.wall_seconds;
         r.sim_sec = res.sim_profile.sim_seconds;
@@ -302,8 +287,8 @@ int main(int argc, char** argv) {
         }
         if (rep == 0 || r.events_per_sec > best.events_per_sec) best = r;
       }
-      std::printf("%-13s %6d flows  sh%-2d  %12llu events  %8.3fs wall  %11.0f events/sec  %.6f allocs/event\n",
-                  best.name.c_str(), best.flows, best.shards,
+      std::printf("%-13s %6d flows  %12llu events  %8.3fs wall  %11.0f events/sec  %.6f allocs/event\n",
+                  best.name.c_str(), best.flows,
                   static_cast<unsigned long long>(best.sim_events), best.wall_sec,
                   best.events_per_sec, best.allocs_per_event);
       if (alloc_gate >= 0.0 && best.allocs_per_event > alloc_gate) {
@@ -338,7 +323,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     if (const auto ratio = degradation_ratio(results)) {
-      std::printf("degradation_ratio (events/sec smallest / largest serial cell): %.3f\n",
+      std::printf("degradation_ratio (events/sec smallest / largest cell): %.3f\n",
                   *ratio);
     }
     const std::string json = to_json(results);
