@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <tuple>
 
 #include "src/cca/cca.h"
@@ -49,11 +50,14 @@ class Hook : public PacketSink {
   PacketSink* target_ = nullptr;
 };
 
+// The CCA name is a std::string, not a const char*: gtest prints a pointer
+// parameter as its address, which would put an ASLR-dependent value into the
+// listed test names.
 class RandomLossStress
-    : public ::testing::TestWithParam<std::tuple<const char*, int>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
 
 TEST_P(RandomLossStress, SurvivesAndRecovers) {
-  const char* cca_name = std::get<0>(GetParam());
+  const std::string& cca_name = std::get<0>(GetParam());
   const double loss = std::get<1>(GetParam()) / 1000.0;
 
   Simulator sim;
@@ -93,11 +97,11 @@ TEST_P(RandomLossStress, SurvivesAndRecovers) {
 
 INSTANTIATE_TEST_SUITE_P(
     CcasAndLossRates, RandomLossStress,
-    ::testing::Combine(::testing::Values("newreno", "cubic", "bbr", "bbr2",
-                                         "vegas"),
+    ::testing::Combine(::testing::Values(std::string("newreno"), "cubic",
+                                         "bbr", "bbr2", "vegas"),
                        ::testing::Values(1, 10, 50, 200)),
     [](const ::testing::TestParamInfo<RandomLossStress::ParamType>& info) {
-      return std::string(std::get<0>(info.param)) + "_loss" +
+      return std::get<0>(info.param) + "_loss" +
              std::to_string(std::get<1>(info.param)) + "permille";
     });
 
