@@ -1,8 +1,12 @@
 // Flow churn extension: Poisson arrivals of finite, heavy-tailed flows —
 // the "arrivals and departures of new flows" dynamics the paper's
 // Limitations section names as uncaptured by its fixed-flow methodology.
-// Built on the same dumbbell/TCP substrate so the paper's experiments can
-// be re-run under churn.
+// The cell is set up like run_experiment's (Cell: derived impairment and
+// qdisc seeds, ECN negotiation, the CCAS_CHECK=1 auditor), and the flows
+// go through the DynamicFlows lifecycle the workload engine shares
+// (DESIGN.md §12). Only the arrival policy is churn's own: fork, size and
+// gap all drawn from the master stream, background-flow forks interleaved
+// with their stagger draws, and whole-run queue and goodput accounting.
 #pragma once
 
 #include <cstdint>
@@ -68,7 +72,9 @@ struct ChurnResult {
 
 // Runs the churn experiment for scenario.stagger + warmup + measure of
 // simulated time (background flows stagger over `stagger`; churn arrivals
-// begin at t = 0). Deterministic given spec.seed.
+// begin at t = 0). Deterministic given spec.seed. Throws
+// std::invalid_argument for a malformed spec and check::AuditViolationError
+// when CCAS_CHECK=1 and the final audit found violations.
 [[nodiscard]] ChurnResult run_churn_experiment(const ChurnSpec& spec);
 
 }  // namespace ccas

@@ -11,6 +11,34 @@ namespace {
 
 constexpr size_t align_up(size_t v, size_t a) { return (v + a - 1) & ~(a - 1); }
 
+constexpr uint32_t kTagReap = 1;
+
+// How long after a dynamic flow completes before its slab may be reused:
+// an upper bound on the lifetime of anything still referencing the
+// endpoints from inside the network — stray duplicate data, trailing ACKs,
+// a delack fire answering a late segment. Two max-RTTs plus twice the
+// worst-case queue drain plus every configured jitter/reorder hold, with
+// flat slack that dominates the delack and GRO timeouts. Lazily-cancelled
+// timer entries can outlive any grace, so the reaper re-checks them
+// separately (latest_timer_entry) and defers past the last one.
+TimeDelta reap_grace(const DumbbellConfig& net, TimeDelta max_rtt) {
+  TimeDelta drain = TimeDelta::zero();
+  if (!net.bottleneck_rate.is_infinite()) {
+    drain = TimeDelta::seconds_f(
+        static_cast<double>(net.buffer_bytes) * 8.0 /
+        static_cast<double>(net.bottleneck_rate.bits_per_sec()));
+  }
+  if (!net.edge_rate.is_infinite()) {
+    drain = drain + TimeDelta::seconds_f(
+                        static_cast<double>(net.edge_buffer_bytes) * 8.0 /
+                        static_cast<double>(net.edge_rate.bits_per_sec()));
+  }
+  const TimeDelta holds = net.jitter + net.jitter + net.impairments.jitter +
+                          net.impairments.jitter +
+                          net.impairments.reorder_delay;
+  return max_rtt + max_rtt + drain + drain + holds + TimeDelta::millis(200);
+}
+
 }  // namespace
 
 FlowTable::~FlowTable() {
@@ -120,6 +148,94 @@ void FlowTable::recycle(const Slot& slot) {
   free_entries_.push_back(slot.index);
   --live_;
   ++slabs_recycled_;
+}
+
+DynamicFlows::DynamicFlows(Simulator& sim, DumbbellTopology& topo,
+                           FlowTable& table, Owner& owner, TimeDelta max_rtt,
+                           uint32_t first_flow_id)
+    : sim_(sim),
+      topo_(topo),
+      table_(table),
+      owner_(owner),
+      grace_(reap_grace(topo.config(), max_rtt)),
+      next_flow_id_(first_flow_id) {
+  states_.reserve(256);
+  free_states_.reserve(256);
+}
+
+uint32_t DynamicFlows::open(Rng&& flow_rng, const std::string& cca,
+                            TimeDelta rtt, TcpSenderConfig tcp,
+                            const TcpReceiverConfig& receiver, uint64_t size,
+                            uint32_t cls) {
+  const uint32_t id = next_flow_id_++;
+  uint32_t si;
+  if (!free_states_.empty()) {
+    si = free_states_.back();
+    free_states_.pop_back();
+  } else {
+    si = static_cast<uint32_t>(states_.size());
+    states_.emplace_back();
+  }
+  State& st = states_[si];
+  tcp.data_segments = size;
+  st.slot = table_.create(sim_, id, std::move(flow_rng), cca,
+                          &topo_.data_entry(id), &topo_.ack_entry(), tcp,
+                          receiver);
+  st.started = sim_.now();
+  st.size = size;
+  st.flow_id = id;
+  st.cls = cls;
+  st.live = true;
+  st.completed = false;
+  topo_.register_flow(id, rtt, st.slot.sender, st.slot.receiver);
+  // Two-word capture fits std::function's inline storage: no heap.
+  st.slot.sender->set_completion_callback([this, si] { complete(si); });
+  ++active_;
+  ++started_;
+  return si;
+}
+
+void DynamicFlows::complete(uint32_t si) {
+  State& st = states_[si];
+  if (st.completed) return;
+  st.completed = true;
+  --active_;
+  ++completed_;
+  owner_.on_flow_complete(st);
+  sim_.schedule_at(sim_.now() + grace_, this, kTagReap, si);
+}
+
+void DynamicFlows::on_event(uint32_t /*tag*/, uint64_t arg) {
+  reap(static_cast<uint32_t>(arg));
+}
+
+void DynamicFlows::reap(uint32_t si) {
+  State& st = states_[si];
+  // Lazily-cancelled timer entries still hold pointers into the slot; park
+  // the reap just past the last one (it may re-arm — re-check).
+  const Time s = st.slot.sender->latest_timer_entry();
+  const Time r = st.slot.receiver->latest_timer_entry();
+  const Time pending = s > r ? s : r;
+  if (pending > Time::zero()) {
+    const Time at =
+        (pending > sim_.now() ? pending : sim_.now()) + TimeDelta::nanos(1);
+    sim_.schedule_at(at, this, kTagReap, si);
+    return;
+  }
+  reaped_goodput_bytes_ += st.slot.receiver->goodput_bytes();
+  topo_.unregister_flow(st.flow_id);
+  table_.recycle(st.slot);
+  st.live = false;
+  ++st.gen;  // invalidate any pending owner events for this slot
+  free_states_.push_back(si);
+}
+
+int64_t DynamicFlows::goodput_bytes() const {
+  int64_t total = reaped_goodput_bytes_;
+  for (const State& st : states_) {
+    if (st.live) total += st.slot.receiver->goodput_bytes();
+  }
+  return total;
 }
 
 }  // namespace ccas

@@ -23,7 +23,7 @@
 // churn: same CCA type) reuses it without touching the heap or growing the
 // arena. The caller owns the safety argument: no pending event — packet in
 // flight or lazy timer entry — may still reference the slot's endpoints
-// when recycle() runs (see churn.cc's grace-period reaper).
+// when recycle() runs (see DynamicFlows' grace-period reaper below).
 #pragma once
 
 #include <cstddef>
@@ -32,6 +32,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/net/topology.h"
+#include "src/sim/simulator.h"
 #include "src/tcp/tcp_receiver.h"
 #include "src/tcp/tcp_sender.h"
 #include "src/util/arena.h"
@@ -99,6 +101,84 @@ class FlowTable {
   uint64_t slabs_allocated_ = 0;
   uint64_t slabs_recycled_ = 0;
   uint64_t slab_reuses_ = 0;
+};
+
+// The lifecycle of dynamically arriving finite flows, shared by both
+// arrival policies (ChurnDriver in churn.cc, WorkloadEngine in
+// src/workload/): a recycled pool of per-flow states over FlowTable slabs,
+// completion bookkeeping, and the grace-period reaper that tears a
+// departed flow down and parks its slab for the next arrival (DESIGN.md
+// §12). The owner decides when a flow arrives, what it is, and what its
+// completion records.
+class DynamicFlows final : public EventHandler {
+ public:
+  struct State {
+    FlowTable::Slot slot;
+    Time started = Time::zero();
+    uint64_t size = 0;  // segments
+    uint32_t flow_id = 0;
+    uint32_t cls = 0;  // owner-defined class index
+    // Bumped at reap: owner events carrying an older generation are stale
+    // (the slot was recycled) and must be ignored.
+    uint32_t gen = 0;
+    bool live = false;
+    bool completed = false;
+  };
+
+  // Told once per flow when its sender completes.
+  class Owner {
+   public:
+    virtual void on_flow_complete(const State& st) = 0;
+
+   protected:
+    ~Owner() = default;
+  };
+
+  // `max_rtt` must cover every dynamic flow and every fixed flow sharing
+  // the network (their ACKs share the return path). Flow ids start at
+  // `first_flow_id` and are never reused (per-flow tables are id-indexed);
+  // only slabs are.
+  DynamicFlows(Simulator& sim, DumbbellTopology& topo, FlowTable& table,
+               Owner& owner, TimeDelta max_rtt, uint32_t first_flow_id);
+
+  // Creates a flow of `size` segments under the next flow id, registers it
+  // with the topology and installs its completion callback. The sender is
+  // not started: the owner arms any app model first, then calls start().
+  // Returns the flow's state index.
+  uint32_t open(Rng&& flow_rng, const std::string& cca, TimeDelta rtt,
+                TcpSenderConfig tcp, const TcpReceiverConfig& receiver,
+                uint64_t size, uint32_t cls);
+
+  [[nodiscard]] State& state(uint32_t si) { return states_[si]; }
+  [[nodiscard]] const std::vector<State>& states() const { return states_; }
+  [[nodiscard]] uint64_t active() const { return active_; }
+  [[nodiscard]] uint64_t started() const { return started_; }
+  [[nodiscard]] uint64_t completed() const { return completed_; }
+
+  // Exact goodput of every dynamic flow: reaped flows were accumulated
+  // when their receivers were torn down, live ones are read here. Integer
+  // bytes, so the sum is order-independent.
+  [[nodiscard]] int64_t goodput_bytes() const;
+
+  // The reap event (handler-local tag 1; `arg` is the state index).
+  void on_event(uint32_t tag, uint64_t arg) override;
+
+ private:
+  void complete(uint32_t si);
+  void reap(uint32_t si);
+
+  Simulator& sim_;
+  DumbbellTopology& topo_;
+  FlowTable& table_;
+  Owner& owner_;
+  const TimeDelta grace_;
+  std::vector<State> states_;
+  std::vector<uint32_t> free_states_;
+  uint32_t next_flow_id_;
+  uint64_t active_ = 0;
+  uint64_t started_ = 0;
+  uint64_t completed_ = 0;
+  int64_t reaped_goodput_bytes_ = 0;
 };
 
 }  // namespace ccas

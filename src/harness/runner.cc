@@ -7,11 +7,9 @@
 #include <string>
 
 #include "src/cca/cca.h"
-#include "src/check/audit.h"
+#include "src/harness/cell.h"
 #include "src/harness/flow_table.h"
 #include "src/stats/fairness.h"
-#include "src/net/topology.h"
-#include "src/sim/simulator.h"
 #include "src/stats/convergence.h"
 #include "src/util/logging.h"
 #include "src/util/rng.h"
@@ -21,20 +19,8 @@ namespace ccas {
 
 namespace {
 
-// Per-flow state lives in one FlowTable slab per flow (rng, receiver,
-// sender, CCA packed contiguously — DESIGN.md §12); this struct only
-// aggregates the pointers. The flow's Rng must outlive its sender — CCAs
-// (e.g. BBR's randomized ProbeBW phase) keep a reference to it — which the
-// table's reverse-construction-order teardown guarantees.
-struct Flow {
-  Rng* rng = nullptr;
-  TcpSender* sender = nullptr;
-  TcpReceiver* receiver = nullptr;
-  int group = 0;
-};
-
-FlowCounters snapshot(Time now, const Flow& flow, const QueueDisc& queue,
-                      uint32_t flow_id) {
+FlowCounters snapshot(Time now, const FlowTable::Slot& flow,
+                      const QueueDisc& queue, uint32_t flow_id) {
   FlowCounters c;
   c.at = now;
   const TcpSenderStats& s = flow.sender->stats();
@@ -75,20 +61,18 @@ void validate(const ExperimentSpec& spec) {
         ": within-cell sharding is not supported (every run is one serial "
         "event engine); parallelise across cells with --jobs or ccas_fleet");
   }
-  spec.scenario.net.impairments.validate();
-  spec.scenario.net.qdisc.validate();
   spec.workload.validate();
 }
 
-// Grace bound for the workload reaper: covers every class and every fixed
-// group (background ACKs share the same return path).
-TimeDelta workload_grace(const ExperimentSpec& spec, const DumbbellConfig& net) {
+// The workload reaper's RTT bound: every class and every fixed group
+// (background ACKs share the same return path).
+TimeDelta workload_max_rtt(const ExperimentSpec& spec) {
   TimeDelta max_rtt = TimeDelta::zero();
   for (const FlowGroup& g : spec.groups) max_rtt = std::max(max_rtt, g.rtt);
   for (const WorkloadClass& c : spec.workload.classes) {
     max_rtt = std::max(max_rtt, c.rtt);
   }
-  return workload_reap_grace(net, max_rtt);
+  return max_rtt;
 }
 
 }  // namespace
@@ -99,34 +83,10 @@ ExperimentResult run_experiment(const ExperimentSpec& spec) {
 
 ExperimentResult run_experiment(const ExperimentSpec& spec, const SimBudget* budget) {
   validate(spec);
-  Simulator sim;
+  Cell cell(spec.scenario.net, spec.seed, spec.audit);
+  Simulator& sim = cell.sim;
+  DumbbellTopology& topo = cell.topo;
   Rng rng(spec.seed);
-
-  // The auditor (when enabled) must attach before the topology is built so
-  // components register their packet holders; it is declared first so it
-  // outlives everything that may call hooks during teardown.
-  std::unique_ptr<check::InvariantAuditor> auditor;
-  if (check::kAuditHooksCompiled &&
-      (spec.audit || check::check_enabled_from_env())) {
-    auditor = std::make_unique<check::InvariantAuditor>(sim);
-  }
-
-  // Impairment seed derivation: a pure function of the experiment seed,
-  // independent of the master Rng's stream (whose consumption order the
-  // pre-impairment goldens depend on), so sweep cells stay byte-identical
-  // at any --jobs level.
-  DumbbellConfig net = spec.scenario.net;
-  if ((net.impairments.enabled() || net.impairments.force_stage) &&
-      net.impairments.seed == 0) {
-    net.impairments.seed = derive_impairment_seed(spec.seed);
-  }
-  // Qdisc seed: same pattern under its own salt, so RED/PIE probability
-  // draws are independent of both the master stream and the impairment
-  // stream (drop-tail and the deterministic AQMs never draw from it).
-  if (net.qdisc.enabled() && net.qdisc.seed == 0) {
-    net.qdisc.seed = derive_qdisc_seed(spec.seed);
-  }
-  DumbbellTopology topo(sim, net);
   topo.reserve_flows(static_cast<uint32_t>(spec.total_flows()));
   QueueDisc& queue = topo.bottleneck_queue();
   queue.set_drop_log_enabled(spec.record_drop_log);
@@ -139,14 +99,13 @@ ExperimentResult run_experiment(const ExperimentSpec& spec, const SimBudget* bud
   if (spec.record_congestion_log) {
     congestion_log.resize(static_cast<size_t>(spec.total_flows()));
   }
+  // Per-flow state lives in one FlowTable slab per flow (DESIGN.md §12).
   FlowTable table;
-  std::vector<Flow> flows;
+  std::vector<FlowTable::Slot> flows;
   flows.reserve(static_cast<size_t>(spec.total_flows()));
-  // ECN negotiation: senders mark ECT (and react to ECE) exactly when the
-  // bottleneck qdisc marks. Derived from the qdisc block, so it is not a
-  // separate spec knob.
-  TcpSenderConfig tcp = spec.tcp;
-  tcp.ecn_enabled = net.qdisc.enabled() && net.qdisc.ecn;
+  ExperimentResult result;
+  result.flow_group.reserve(flows.capacity());
+  const TcpSenderConfig tcp = cell.negotiate(spec.tcp);
   uint32_t flow_id = 0;
   for (size_t gi = 0; gi < spec.groups.size(); ++gi) {
     const FlowGroup& g = spec.groups[gi];
@@ -155,29 +114,19 @@ ExperimentResult run_experiment(const ExperimentSpec& spec, const SimBudget* bud
           table.create(sim, flow_id, rng.fork(), g.cca,
                        &topo.data_entry(flow_id), &topo.ack_entry(), tcp,
                        spec.receiver);
-      Flow f;
-      f.rng = slot.rng;
-      f.group = static_cast<int>(gi);
-      f.receiver = slot.receiver;
-      f.sender = slot.sender;
-      topo.register_flow(flow_id, g.rtt, f.sender, f.receiver);
+      topo.register_flow(flow_id, g.rtt, slot.sender, slot.receiver);
       if (spec.record_congestion_log) {
         std::vector<Time>& log = congestion_log[flow_id];
-        f.sender->set_congestion_event_callback(
+        slot.sender->set_congestion_event_callback(
             [&log](Time at) { log.push_back(at); });
       }
-      if (auditor) auditor->watch_sender(flow_id, *f.sender);
-      flows.push_back(f);
+      if (cell.auditor) cell.auditor->watch_sender(flow_id, *slot.sender);
+      flows.push_back(slot);
+      result.flow_group.push_back(static_cast<int>(gi));
     }
-  }
-  if (auditor) {
-    // Checkpoint a few times per simulated second; fine-grained invariants
-    // (queue occupancy, PRR budget, rate monotonicity) run per hook anyway.
-    auditor->schedule_periodic(TimeDelta::millis(250));
   }
 
   // Time-series tracing (optional).
-  ExperimentResult result;
   std::function<void()> trace_tick;
   if (spec.trace_interval > TimeDelta::zero()) {
     trace_tick = [&] {
@@ -188,7 +137,7 @@ ExperimentResult run_experiment(const ExperimentSpec& spec, const SimBudget* bud
       result.trace.add_queue_sample(qs);
       auto sample_flow = [&](uint32_t id) {
         if (id >= flows.size()) return;
-        const Flow& f = flows[id];
+        const FlowTable::Slot& f = flows[id];
         FlowTraceSample ts;
         ts.at = sim.now();
         ts.cwnd = f.sender->cca().cwnd();
@@ -255,8 +204,8 @@ ExperimentResult run_experiment(const ExperimentSpec& spec, const SimBudget* bud
   if (spec.workload.enabled()) {
     workload = std::make_unique<WorkloadEngine>(
         sim, topo, table, spec.workload, tcp, spec.receiver,
-        net.bottleneck_rate, static_cast<uint32_t>(spec.total_flows()),
-        run_end, workload_grace(spec, net), derive_workload_seed(spec.seed));
+        static_cast<uint32_t>(spec.total_flows()), run_end,
+        workload_max_rtt(spec), derive_workload_seed(spec.seed));
     workload->begin();
   }
 
@@ -303,13 +252,7 @@ ExperimentResult run_experiment(const ExperimentSpec& spec, const SimBudget* bud
     sim.run_until(measure_end);
   }
 
-  // Final audit checkpoint: the whole run must end conservation-clean.
-  if (auditor) {
-    auditor->run_checks(sim.now());
-    if (auditor->total_violations() > 0) {
-      throw check::AuditViolationError(auditor->report());
-    }
-  }
+  cell.final_audit();
 
   // Final snapshots and result assembly.
   result.converged_early = converged_early;
@@ -323,14 +266,12 @@ ExperimentResult run_experiment(const ExperimentSpec& spec, const SimBudget* bud
   for (const DropRecord& d : queue.drop_log()) result.drop_times.push_back(d.at);
 
   result.flows.reserve(flows.size());
-  result.flow_group.reserve(flows.size());
   double total_goodput = 0.0;
   for (uint32_t i = 0; i < flows.size(); ++i) {
     const FlowCounters end = snapshot(sim.now(), flows[i], queue, i);
     FlowMeasurement m = measure_flow(i, begin[i], end, kMssBytes);
     total_goodput += m.goodput_bps;
     result.flows.push_back(m);
-    result.flow_group.push_back(flows[i].group);
   }
   result.aggregate_goodput_bps = total_goodput;
   result.congestion_log = std::move(congestion_log);

@@ -75,7 +75,7 @@ struct ImpairmentConfig {
   // Scheduled faults, strictly increasing in `at`.
   std::vector<LinkFault> faults;
   // Rng seed for this stage's dedicated stream. 0 = derive from the
-  // experiment's cell seed (run_experiment calls derive_impairment_seed).
+  // experiment's cell seed (the harness Cell calls derive_impairment_seed).
   uint64_t seed = 0;
   // Test hook: build the stage even when inert. An inert stage forwards
   // synchronously and draws no randomness, so runs are bit-identical to

@@ -94,7 +94,7 @@ struct QdiscConfig {
 
   // Rng seed for the qdisc's dedicated stream (RED/PIE probabilistic
   // decisions, FQ-CoDel hash perturbation). 0 = derive from the
-  // experiment's cell seed (run_experiment calls derive_qdisc_seed).
+  // experiment's cell seed (the harness Cell calls derive_qdisc_seed).
   uint64_t seed = 0;
 
   [[nodiscard]] bool enabled() const { return kind != QdiscKind::kDropTail; }

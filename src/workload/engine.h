@@ -1,11 +1,11 @@
-// Open-loop workload engine: drives the churn/FlowTable machinery from a
-// WorkloadSpec — session arrivals (Poisson or deterministic), per-class
-// flow sizes and CCAs, and application pacing models that gate the sender
-// through TcpSender::enable_app_gate / app_release. Built exactly like the
-// churn driver (DESIGN.md §12): arrivals are events on this handler, flows
-// live in FlowTable slabs, departures go through a grace-period reaper
-// that parks the slab for the next arrival, so steady state touches the
-// heap only through amortized vector growth.
+// Open-loop workload engine: the arrival policy that drives DynamicFlows
+// (src/harness/flow_table.h) from a WorkloadSpec — session arrivals
+// (Poisson or deterministic), per-class flow sizes and CCAs, application
+// pacing models that gate the sender through TcpSender::enable_app_gate /
+// app_release, and one FctRecorder per class. The flow lifecycle itself
+// (slot pool, completion, grace-period reaper, goodput) is the one
+// ChurnDriver shares (DESIGN.md §12), so steady state touches the heap
+// only through amortized vector growth.
 //
 // Determinism: the engine owns a dedicated Rng seeded with
 // derive_workload_seed(cell_seed), so it never draws from the master
@@ -24,24 +24,18 @@
 
 namespace ccas {
 
-// Grace before a completed workload flow's slab may be recycled: an upper
-// bound on the lifetime of anything still referencing the endpoints from
-// inside the network (same argument as the churn reaper). `max_rtt` must
-// cover every workload class and every background flow group.
-[[nodiscard]] TimeDelta workload_reap_grace(const DumbbellConfig& net,
-                                            TimeDelta max_rtt);
-
-class WorkloadEngine final : public EventHandler {
+class WorkloadEngine final : public EventHandler,
+                             private DynamicFlows::Owner {
  public:
   // `spec` must be validated and enabled. Dynamic flow ids start at
   // `first_flow_id` (after any fixed background flows) and are never
   // reused. `end_time` stops new arrivals; flows in flight then are
-  // counted abandoned at finalize().
+  // counted abandoned at finalize(). `max_rtt` must cover every workload
+  // class and every background flow group (it bounds the reap grace).
   WorkloadEngine(Simulator& sim, DumbbellTopology& topo, FlowTable& table,
                  const WorkloadSpec& spec, const TcpSenderConfig& tcp,
-                 const TcpReceiverConfig& receiver, DataRate bottleneck_rate,
-                 uint32_t first_flow_id, Time end_time, TimeDelta grace,
-                 uint64_t seed);
+                 const TcpReceiverConfig& receiver, uint32_t first_flow_id,
+                 Time end_time, TimeDelta max_rtt, uint64_t seed);
 
   // Schedules the first arrival at t = 0.
   void begin();
@@ -52,58 +46,29 @@ class WorkloadEngine final : public EventHandler {
   // spec order). Call once, after the simulation has run to end_time.
   void finalize(std::vector<WorkloadClassResult>& out);
 
-  // Exact goodput of every workload flow (reaped flows were accumulated at
-  // teardown, live ones read here). Integer bytes: order-independent.
-  [[nodiscard]] int64_t goodput_bytes() const;
-
-  [[nodiscard]] uint64_t flows_started() const { return started_; }
-  [[nodiscard]] uint64_t flows_completed() const { return completed_; }
-  [[nodiscard]] uint64_t flows_rejected() const { return rejected_; }
+  // Exact goodput of every workload flow (see DynamicFlows).
+  [[nodiscard]] int64_t goodput_bytes() const { return flows_.goodput_bytes(); }
 
  private:
-  struct State {
-    FlowTable::Slot slot;
-    Time started = Time::zero();
-    uint64_t size = 0;
-    uint32_t flow_id = 0;
-    uint32_t cls = 0;  // index into spec_.classes
-    // Bumped at reap: pending app-timer events carrying an older
-    // generation are stale (the slot was recycled) and ignored.
-    uint32_t gen = 0;
-    bool live = false;
-    bool completed = false;
-  };
-
   void on_arrival();
-  void on_complete(uint32_t si);
+  void on_flow_complete(const DynamicFlows::State& st) override;
   void on_app_drained(uint32_t si);
   void on_app_timer(uint32_t gen, uint32_t si);
-  void on_reap(uint32_t si);
   [[nodiscard]] uint32_t pick_class();
   [[nodiscard]] double ideal_fct_s(const WorkloadClass& cls,
                                    uint64_t segments) const;
 
   Simulator& sim_;
-  DumbbellTopology& topo_;
-  FlowTable& table_;
   const WorkloadSpec& spec_;
   const TcpSenderConfig tcp_;
   const TcpReceiverConfig receiver_;
   const DataRate bottleneck_rate_;
   const Time end_time_;
-  const TimeDelta grace_;
   Rng rng_;  // dedicated stream: derive_workload_seed(cell_seed)
 
   std::vector<double> cum_weight_;  // class-pick thresholds
   std::vector<FctRecorder> recorders_;  // one per class
-  std::vector<State> states_;
-  std::vector<uint32_t> free_states_;
-  uint64_t active_ = 0;
-  uint64_t started_ = 0;
-  uint64_t completed_ = 0;
-  uint64_t rejected_ = 0;
-  uint32_t next_flow_id_ = 0;
-  int64_t reaped_goodput_bytes_ = 0;
+  DynamicFlows flows_;
 };
 
 }  // namespace ccas

@@ -7,6 +7,7 @@
 #include "src/cca/new_reno.h"
 #include "src/harness/churn.h"
 #include "src/net/delay_line.h"
+#include "src/net/impairment.h"
 #include "src/net/topology.h"
 #include "src/tcp/tcp_receiver.h"
 #include "src/tcp/tcp_sender.h"
@@ -236,6 +237,34 @@ TEST(Churn, RecyclingUnderImpairmentsAndBackground) {
   const ChurnResult r = run_churn_experiment(spec);
   EXPECT_GT(r.flows_completed, 0u);
   EXPECT_GT(r.slots_recycled, 0u);
+}
+
+// Churn cells are set up like every other cell: an impairment seed left
+// at 0 is derived from the cell seed, so the default equals spelling the
+// derived seed out (and two cell seeds draw different loss patterns).
+TEST(Churn, ImpairmentSeedIsDerivedFromTheCellSeed) {
+  ChurnSpec spec = small_churn();
+  spec.scenario.net.impairments.loss = 0.01;
+  spec.scenario.net.impairments.reorder = 0.01;
+  ChurnSpec pinned = spec;
+  pinned.scenario.net.impairments.seed = derive_impairment_seed(spec.seed);
+  EXPECT_EQ(churn_digest(run_churn_experiment(spec)),
+            churn_digest(run_churn_experiment(pinned)));
+}
+
+// Churn senders negotiate ECN with the bottleneck qdisc: an ECN AQM marks
+// them instead of dropping (non-ECT senders would only ever be dropped).
+TEST(Churn, EcnQdiscMarksChurnTraffic) {
+  for (const QdiscKind kind : {QdiscKind::kRed, QdiscKind::kCoDel}) {
+    ChurnSpec spec = small_churn();
+    spec.scenario.measure = TimeDelta::seconds(3);
+    spec.background.push_back(FlowGroup{"cubic", 1, TimeDelta::millis(20)});
+    spec.scenario.net.qdisc.kind = kind;
+    spec.scenario.net.qdisc.ecn = true;
+    const ChurnResult r = run_churn_experiment(spec);
+    EXPECT_GT(r.queue.marked_packets, 0u) << static_cast<int>(kind);
+    EXPECT_GT(r.flows_completed, 0u);
+  }
 }
 
 TEST(Churn, Validation) {

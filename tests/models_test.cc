@@ -1,12 +1,9 @@
-// Tests for the analytical models: Mathis, Padhye (PFTK), Ware et al. BBR,
-// and Chiu-Jain AIMD convergence.
+// Tests for the analytical models: Mathis and Ware et al. BBR.
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <stdexcept>
 
-#include "src/models/chiu_jain.h"
 #include "src/models/mathis.h"
-#include "src/models/padhye.h"
 #include "src/models/ware_bbr.h"
 
 namespace ccas {
@@ -61,50 +58,6 @@ TEST(Mathis, InvalidInputsThrow) {
   EXPECT_THROW(MathisModel::implied_constant(DataRate::mbps(1), TimeDelta::millis(20),
                                              0.0, 1448),
                std::invalid_argument);
-}
-
-// ------------------------------------------------------------- Padhye ----
-
-TEST(Padhye, ReducesTowardMathisAtSmallP) {
-  // For small p the RTO term vanishes and PFTK ~ MSS/(RTT*sqrt(2bp/3)),
-  // i.e. the Mathis form with C = sqrt(3/(2b)).
-  PadhyeParams params;
-  params.acked_per_ack = 1.0;
-  const PadhyeModel padhye(params);
-  const MathisModel mathis(std::sqrt(3.0 / 2.0), params.mss_bytes);
-  const TimeDelta rtt = TimeDelta::millis(100);
-  const double p = 1e-6;
-  const double ratio = padhye.predict(rtt, p) / mathis.predict(rtt, p);
-  EXPECT_NEAR(ratio, 1.0, 0.01);
-}
-
-TEST(Padhye, RtoTermDominatesAtHighLoss) {
-  const PadhyeModel padhye;
-  const MathisModel mathis(std::sqrt(3.0 / 4.0), 1448);
-  const TimeDelta rtt = TimeDelta::millis(100);
-  // At p = 0.2 the timeout term slashes throughput well below Mathis.
-  EXPECT_LT(padhye.predict(rtt, 0.2) / mathis.predict(rtt, 0.2), 0.5);
-}
-
-TEST(Padhye, WindowLimitCaps) {
-  PadhyeParams params;
-  params.max_window_segments = 10.0;
-  const PadhyeModel padhye(params);
-  const TimeDelta rtt = TimeDelta::millis(100);
-  const DataRate capped = padhye.predict(rtt, 1e-9);
-  const double limit_bps = 10.0 / 0.1 * 1448.0 * 8.0;
-  EXPECT_NEAR(static_cast<double>(capped.bits_per_sec()), limit_bps, limit_bps * 1e-6);
-}
-
-TEST(Padhye, MonotoneDecreasingInP) {
-  const PadhyeModel padhye;
-  const TimeDelta rtt = TimeDelta::millis(50);
-  double prev = 1e30;
-  for (double p = 1e-5; p < 0.3; p *= 3) {
-    const double t = static_cast<double>(padhye.predict(rtt, p).bits_per_sec());
-    EXPECT_LT(t, prev);
-    prev = t;
-  }
 }
 
 // ------------------------------------------------------------ WareBbr ----
@@ -162,60 +115,6 @@ TEST(WareBbr, PredictionIsAFraction) {
 TEST(WareBbr, RejectsBadParams) {
   WareBbrParams p = core_params(0, 10);
   EXPECT_THROW(WareBbrModel{p}, std::invalid_argument);
-}
-
-// ----------------------------------------------------------- ChiuJain ----
-
-TEST(ChiuJain, ConvergesToFairnessAndEfficiency) {
-  AimdParams params;
-  params.capacity = 100.0;
-  ChiuJainAimd sys(params, {5.0, 80.0});
-  EXPECT_LT(sys.jain_index(), 0.7);
-  sys.run(2000);
-  EXPECT_GT(sys.jain_index(), 0.99);
-  EXPECT_GT(sys.utilization(), 0.5);
-  EXPECT_LE(sys.utilization(), 1.1);
-}
-
-// Chiu & Jain's central positive result: any multiplicative decrease in
-// (0, 1) combined with additive increase converges to fairness from an
-// arbitrarily unfair start.
-class ChiuJainDecreaseSweep : public ::testing::TestWithParam<double> {};
-
-TEST_P(ChiuJainDecreaseSweep, ConvergesForAnyDecreaseFactor) {
-  AimdParams params;
-  params.capacity = 200.0;
-  params.multiplicative_decrease = GetParam();
-  ChiuJainAimd sys(params, {1.0, 199.0});
-  const int rounds = sys.rounds_to_fairness(0.99, 200000);
-  ASSERT_GE(rounds, 0) << "did not converge with MD " << GetParam();
-  // Efficiency: the operating point stays near capacity.
-  sys.run(1000);
-  EXPECT_GT(sys.utilization(), GetParam() * 0.9);
-  EXPECT_LT(sys.utilization(), 1.2);
-}
-
-INSTANTIATE_TEST_SUITE_P(Factors, ChiuJainDecreaseSweep,
-                         ::testing::Values(0.3, 0.5, 0.7, 0.9));
-
-TEST(ChiuJain, NFlowsConvergeToEqualShares) {
-  AimdParams params;
-  params.capacity = 1000.0;
-  std::vector<double> rates;
-  for (int i = 0; i < 10; ++i) rates.push_back(static_cast<double>(i * i));
-  ChiuJainAimd sys(params, rates);
-  sys.run(20000);
-  EXPECT_GT(sys.jain_index(), 0.995);
-  for (const double r : sys.rates()) {
-    EXPECT_NEAR(r, sys.rates()[0], sys.rates()[0] * 0.2);
-  }
-}
-
-TEST(ChiuJain, Validation) {
-  EXPECT_THROW(ChiuJainAimd(AimdParams{}, {}), std::invalid_argument);
-  AimdParams bad;
-  bad.multiplicative_decrease = 1.5;
-  EXPECT_THROW(ChiuJainAimd(bad, {1.0}), std::invalid_argument);
 }
 
 }  // namespace
