@@ -5,33 +5,21 @@
 #include <chrono>
 #include <cstdlib>
 #include <exception>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
 #include <utility>
 
-#include "src/check/audit.h"
 #include "src/harness/runner.h"
 #include "src/sim/budget.h"
+#include "src/sweep/commit.h"
 #include "src/sweep/manifest.h"
 #include "src/sweep/progress.h"
 #include "src/sweep/wire.h"
 #include "src/util/logging.h"
 
 namespace ccas::sweep {
-
-namespace {
-
-FailureClass budget_failure_class(BudgetExceeded::Kind kind) {
-  switch (kind) {
-    case BudgetExceeded::Kind::kWallClock: return FailureClass::kBudgetWall;
-    case BudgetExceeded::Kind::kSimEvents: return FailureClass::kBudgetEvents;
-    case BudgetExceeded::Kind::kRssEstimate: return FailureClass::kBudgetRss;
-  }
-  return FailureClass::kException;
-}
-
-}  // namespace
 
 SweepOptions sweep_options_from_env() {
   SweepOptions opts;
@@ -70,6 +58,9 @@ std::vector<CellOutcome> SweepExecutor::run(const SweepSpec& sweep) {
     manifest = std::make_unique<SweepManifest>(options_.resume_dir,
                                                options_.cache_salt);
     manifest_results = std::make_unique<ResultCache>(manifest->results_dir());
+    if (commit_write_failures_ > 0) {
+      manifest_results->inject_write_failures(commit_write_failures_);
+    }
   }
   std::string quarantine_dir = options_.quarantine_dir;
   if (quarantine_dir.empty() && manifest) {
@@ -102,7 +93,127 @@ std::vector<CellOutcome> SweepExecutor::run(const SweepSpec& sweep) {
   std::atomic<bool> abort{false};
   std::atomic<int> terminal_failures{0};
 
-  auto worker = [&] {
+  // fail_fast: the first failure stops the sweep and is rethrown (as the
+  // original exception) after all workers stop.
+  auto stop_on = [&](std::exception_ptr error) {
+    {
+      std::lock_guard<std::mutex> lock(error_mu);
+      if (!first_error) first_error = std::move(error);
+    }
+    abort.store(true, std::memory_order_relaxed);
+  };
+
+  // Turns outcome `out` into an explicit hole in the partial results and
+  // counts it toward max_failures. Runs on whichever thread owns the
+  // outcome: the compute thread for a failed simulation (so the abort
+  // lands before it claims another cell), the writer for a failed commit.
+  auto mark_failed = [&](CellOutcome& out, CellFailure failure) {
+    out.status = CellStatus::kFailed;
+    out.result = ExperimentResult{};
+    out.attempts = failure.attempts;
+    out.failure = std::move(failure);
+    if (options_.max_failures > 0 &&
+        terminal_failures.fetch_add(1, std::memory_order_relaxed) + 1 >=
+            options_.max_failures) {
+      abort.store(true, std::memory_order_relaxed);
+    }
+  };
+
+  // Writer: journal a terminal failure and quarantine a minimal repro.
+  auto report_failure = [&](size_t i, std::optional<InjectedFault> injected) {
+    const CellOutcome& out = outcomes[i];
+    if (manifest) {
+      try {
+        manifest->record_failure(*out.failure);
+      } catch (const std::exception& e) {
+        log_warn("sweep manifest: %s", e.what());
+      }
+    }
+    if (!quarantine_dir.empty()) {
+      QuarantineContext ctx;
+      ctx.cell_timeout = options_.cell_timeout;
+      ctx.max_cell_events = options_.max_cell_events;
+      ctx.max_cell_rss_bytes = options_.max_cell_rss_bytes;
+      if (injected) {
+        // Single-cell replays through ccas_run name their cell
+        // "seed=<n>", so the injection env is rewritten to match.
+        ctx.injection_env = "seed=" + std::to_string(sweep.cells[i].spec.seed) +
+                            ":" + injected_fault_name(*injected);
+      }
+      (void)write_quarantine_file(quarantine_dir, sweep.cells[i], *out.failure,
+                                  ctx);
+    }
+    progress.cell_failed(out.name, failure_class_name(out.failure->cls),
+                         out.failure->attempts);
+  };
+
+  // Writer: the durable commit of a computed cell, in order — serialize
+  // once, best-effort cache store, manifest results store (fsync,
+  // directory fsync, verify-after-rename), journal append + fsync. Resume
+  // integrity depends on the manifest's store and journal, so unlike the
+  // ordinary cache their failures are not best-effort: they surface as
+  // the transient kCacheIo class and the commit is retried with backoff —
+  // the result is kept, so a retry never re-simulates the cell.
+  auto commit = [&](size_t i, int attempt, bool cacheable) {
+    CellOutcome& out = outcomes[i];
+    std::string payload;
+    if (cacheable && (manifest || (cache && !out.from_cache))) {
+      payload = serialize_result(out.result);
+    }
+    if (cache && cacheable && !out.from_cache) {
+      (void)cache->store_payload(out.cache_key, payload);  // best-effort
+    }
+    std::optional<CellFailure> failure;
+    std::exception_ptr error;
+    for (;; ++attempt) {
+      failure = run_attempt(out.name, out.cache_key, attempt, [&] {
+        if (!manifest) return;
+        if (!cacheable) {
+          manifest->record_ok(out.cache_key, attempt);
+          return;
+        }
+        if (!manifest_results->store_payload(out.cache_key, payload)) {
+          throw CacheIoError("sweep manifest: cannot store result for " +
+                             cache_key_hex(out.cache_key) + " under " +
+                             manifest->results_dir());
+        }
+        // The digest lets a later multi-worker (fleet) run — or a resume
+        // on another host — verify byte-identity instead of trusting it:
+        // divergent duplicates surface as structured determinism-violation
+        // failures on replay.
+        manifest->record_ok(out.cache_key, attempt, fnv1a64(payload));
+      }, &error);
+      if (!failure || options_.fail_fast ||
+          !failure_is_transient(failure->cls) || attempt > options_.retries) {
+        break;
+      }
+      progress.cell_retry(out.name, failure_class_name(failure->cls), attempt);
+      std::this_thread::sleep_for(
+          std::chrono::nanoseconds(retry_backoff(attempt).ns()));
+    }
+    out.attempts = attempt;
+    if (!failure) {
+      out.status = CellStatus::kOk;
+      progress.cell_done(out.name, out.from_cache, out.result.sim_events,
+                         out.wall_sec);
+      return;
+    }
+    if (options_.fail_fast) {
+      stop_on(error);
+      if (manifest) {
+        try {
+          manifest->record_failure(*failure);
+        } catch (const std::exception& e) {
+          log_warn("sweep manifest: %s", e.what());
+        }
+      }
+      return;
+    }
+    mark_failed(out, std::move(*failure));
+    report_failure(i, std::nullopt);
+  };
+
+  auto worker = [&](CommitPipeline& commits, int lane) {
     while (!abort.load(std::memory_order_relaxed)) {
       const size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= sweep.cells.size()) return;
@@ -142,158 +253,83 @@ std::vector<CellOutcome> SweepExecutor::run(const SweepSpec& sweep) {
 
       std::optional<CellFailure> failure;
       std::optional<InjectedFault> injected;
+      std::exception_ptr error;
       int attempt = 0;
       for (;;) {
         ++attempt;
-        failure.reset();
-        std::exception_ptr eptr;
-        try {
+        failure = run_attempt(cell.name, out.cache_key, attempt, [&] {
           if (!out.from_cache && cache && cacheable) {
             if (auto cached = cache->load(out.cache_key)) {
               out.result = std::move(*cached);
               out.from_cache = true;
+              return;
             }
           }
-          if (!out.from_cache) {
-            // Budget scope: the cancellation token and watchdog live
-            // exactly as long as this attempt; the watchdog joins (in its
-            // destructor) before the token leaves scope.
-            std::atomic<bool> cancelled{false};
-            SimBudget budget;
-            if (options_.cell_timeout > TimeDelta::zero()) {
-              budget.cancel = &cancelled;
-            }
-            budget.max_events = options_.max_cell_events;
-            budget.max_rss_bytes = options_.max_cell_rss_bytes;
-            CellWatchdog watchdog(options_.cell_timeout, &cancelled);
-            if (!faults.empty()) {
-              if (auto f = faults.next(cell.name)) {
-                injected = f;
-                execute_injected_fault(*f, &cancelled);
-              }
-            }
-            out.result =
-                run_experiment(cell.spec, budget.any() ? &budget : nullptr);
-            if (cache && cacheable) {
-              (void)cache->store(out.cache_key, out.result);  // best-effort
+          // Budget scope: the cancellation token and watchdog live
+          // exactly as long as this attempt; the watchdog joins (in its
+          // destructor) before the token leaves scope.
+          std::atomic<bool> cancelled{false};
+          SimBudget budget;
+          if (options_.cell_timeout > TimeDelta::zero()) {
+            budget.cancel = &cancelled;
+          }
+          budget.max_events = options_.max_cell_events;
+          budget.max_rss_bytes = options_.max_cell_rss_bytes;
+          CellWatchdog watchdog(options_.cell_timeout, &cancelled);
+          if (!faults.empty()) {
+            if (auto f = faults.next(cell.name)) {
+              injected = f;
+              execute_injected_fault(*f, &cancelled);
             }
           }
-          if (manifest && cacheable) {
-            // Resume integrity depends on the manifest's own results
-            // store and journal, so unlike the ordinary cache their
-            // failures are not best-effort: they surface as the transient
-            // kCacheIo class and go through the retry/backoff path.
-            if (!manifest_results->store(out.cache_key, out.result)) {
-              throw CacheIoError("sweep manifest: cannot store result for " +
-                                 cache_key_hex(out.cache_key) + " under " +
-                                 manifest->results_dir());
-            }
-          }
-          if (manifest && cacheable) {
-            // The digest lets a later multi-worker (fleet) run — or a
-            // resume on another host — verify byte-identity instead of
-            // trusting it: divergent duplicates surface as structured
-            // determinism-violation failures on replay.
-            manifest->record_ok(out.cache_key, attempt,
-                                fnv1a64(serialize_result(out.result)));
-          } else if (manifest) {
-            manifest->record_ok(out.cache_key, attempt);
-          }
-        } catch (const BudgetExceeded& e) {
-          eptr = std::current_exception();
-          failure = CellFailure{cell.name, budget_failure_class(e.kind()),
-                                e.what(), out.cache_key, attempt};
-        } catch (const check::AuditViolationError& e) {
-          eptr = std::current_exception();
-          failure = CellFailure{cell.name, FailureClass::kAuditViolation,
-                                e.what(), out.cache_key, attempt};
-        } catch (const CacheIoError& e) {
-          eptr = std::current_exception();
-          failure = CellFailure{cell.name, FailureClass::kCacheIo, e.what(),
-                                out.cache_key, attempt};
-        } catch (const std::exception& e) {
-          eptr = std::current_exception();
-          failure = CellFailure{cell.name, FailureClass::kException, e.what(),
-                                out.cache_key, attempt};
-        }
-        if (!failure) break;  // success
-
+          out.result =
+              run_experiment(cell.spec, budget.any() ? &budget : nullptr);
+        }, &error);
+        if (!failure) break;
         if (options_.fail_fast) {
-          // Legacy contract: first failure aborts the sweep and is
-          // rethrown (as the original exception) after all workers stop.
-          if (manifest) {
+          stop_on(error);
+          commits.submit(lane, [&, f = std::move(*failure)] {
+            if (!manifest) return;
             try {
-              manifest->record_failure(*failure);
+              manifest->record_failure(f);
             } catch (const std::exception& e) {
               log_warn("sweep manifest: %s", e.what());
             }
-          }
-          {
-            std::lock_guard<std::mutex> lock(error_mu);
-            if (!first_error) first_error = eptr;
-          }
-          abort.store(true, std::memory_order_relaxed);
+          });
           return;
         }
-        if (failure_is_transient(failure->cls) && attempt <= options_.retries) {
-          progress.cell_retry(cell.name, failure_class_name(failure->cls),
-                              attempt);
-          std::this_thread::sleep_for(
-              std::chrono::nanoseconds(retry_backoff(attempt).ns()));
-          continue;
+        if (!failure_is_transient(failure->cls) || attempt > options_.retries) {
+          break;  // terminal failure
         }
-        break;  // terminal failure
+        progress.cell_retry(cell.name, failure_class_name(failure->cls),
+                            attempt);
+        std::this_thread::sleep_for(
+            std::chrono::nanoseconds(retry_backoff(attempt).ns()));
       }
-      out.attempts = attempt;
+      // The outcome now belongs to the writer until the sweep ends.
       out.wall_sec = cell_elapsed();
-
-      if (!failure) {
-        out.status = CellStatus::kOk;
-        progress.cell_done(out.name, out.from_cache, out.result.sim_events,
-                           out.wall_sec);
-        continue;
-      }
-
-      // Terminal failure: capture it in the outcome (an explicit hole in
-      // the partial results), journal it, quarantine a minimal repro, and
-      // keep the sweep going.
-      out.status = CellStatus::kFailed;
-      out.result = ExperimentResult{};
-      out.failure = failure;
-      if (manifest) {
-        try {
-          manifest->record_failure(*failure);
-        } catch (const std::exception& e) {
-          log_warn("sweep manifest: %s", e.what());
-        }
-      }
-      if (!quarantine_dir.empty()) {
-        QuarantineContext ctx;
-        ctx.cell_timeout = options_.cell_timeout;
-        ctx.max_cell_events = options_.max_cell_events;
-        ctx.max_cell_rss_bytes = options_.max_cell_rss_bytes;
-        if (injected) {
-          // Single-cell replays through ccas_run name their cell
-          // "seed=<n>", so the injection env is rewritten to match.
-          ctx.injection_env = "seed=" + std::to_string(cell.spec.seed) + ":" +
-                              injected_fault_name(*injected);
-        }
-        (void)write_quarantine_file(quarantine_dir, cell, *failure, ctx);
-      }
-      progress.cell_failed(out.name, failure_class_name(failure->cls),
-                           failure->attempts);
-      if (options_.max_failures > 0 &&
-          terminal_failures.fetch_add(1, std::memory_order_relaxed) + 1 >=
-              options_.max_failures) {
-        abort.store(true, std::memory_order_relaxed);
+      if (failure) {
+        mark_failed(out, std::move(*failure));
+        commits.submit(lane, [&, i, injected] { report_failure(i, injected); });
+      } else {
+        commits.submit(lane, [&, i, attempt, cacheable] {
+          commit(i, attempt, cacheable);
+        });
       }
     }
   };
 
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<size_t>(jobs));
-  for (int t = 0; t < jobs; ++t) threads.emplace_back(worker);
-  for (std::thread& t : threads) t.join();
+  {
+    // One writer behind `jobs` compute threads; leaving the scope runs the
+    // last queued commits before the summary reads the outcomes.
+    CommitPipeline commits(jobs);
+    std::vector<std::thread> threads;
+    threads.reserve(static_cast<size_t>(jobs));
+    for (int t = 0; t < jobs; ++t) {
+      threads.emplace_back(worker, std::ref(commits), t);
+    }
+    for (std::thread& t : threads) t.join();
+  }
 
   if (first_error) std::rethrow_exception(first_error);
 

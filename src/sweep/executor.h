@@ -5,6 +5,9 @@
 // cells whose canonical spec hash is already on disk are served from the
 // cache instead of simulated (result_cache.h); traced specs
 // (trace_interval > 0) always simulate, since traces are not cached.
+// Cache and manifest writes run on one writer thread behind the compute
+// threads (commit.h), so a cell's fsyncs overlap the next cell's
+// simulation.
 //
 // Supervision (supervisor.h, manifest.h): per-cell budgets (wall-clock
 // watchdog, simulated-event ceiling, estimated-RSS ceiling), failure
@@ -29,7 +32,9 @@
 namespace ccas::sweep {
 
 struct SweepOptions {
-  // Worker threads; 0 = std::thread::hardware_concurrency() (at least 1).
+  // Compute threads; 0 = std::thread::hardware_concurrency() (at least 1).
+  // One more thread, the writer, runs every cell's cache and manifest
+  // commit behind them.
   int jobs = 0;
   // Result cache directory; empty disables caching entirely.
   std::string cache_dir;
@@ -85,8 +90,12 @@ struct CellOutcome {
   bool from_cache = false;
   // Served from the resume manifest without re-running.
   bool resumed = false;
-  // Attempts consumed (0 for skipped cells, 1 for clean runs).
+  // Attempts consumed (0 for skipped cells, 1 for clean runs); a commit
+  // retried after a failed results store or journal append counts too.
   int attempts = 0;
+  // The compute thread's time on the cell: lookup, simulation and retries
+  // of the simulation. The durable commit runs on the writer thread while
+  // the compute thread moves on, and is not included.
   double wall_sec = 0.0;
   ExperimentResult result;
   // Set iff status == kFailed.
@@ -126,8 +135,14 @@ class SweepExecutor {
   [[nodiscard]] const SweepSummary& summary() const { return summary_; }
   [[nodiscard]] const SweepOptions& options() const { return options_; }
 
+  // Test-only: the manifest's results store of the next run() tears its
+  // first `n` writes (ResultCache::inject_write_failures), exercising the
+  // writer's commit retry.
+  void inject_commit_write_failures(int n) { commit_write_failures_ = n; }
+
  private:
   SweepOptions options_;
+  int commit_write_failures_ = 0;
   SweepSummary summary_;
   std::vector<CellFailure> failures_;
 };

@@ -3,7 +3,6 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -52,15 +51,31 @@ bool LeaseDir::write_lease_fd(int fd, const Lease& lease) const {
       lease.worker.c_str(), static_cast<unsigned long long>(lease.fence),
       static_cast<unsigned long long>(lease.expires_ms));
   if (len <= 0 || len >= static_cast<int>(sizeof(buf))) return false;
-  // A single write: a lease body is either whole or absent (torn only
-  // when the creator died between O_EXCL create and this write — which
-  // claim() treats as immediately reclaimable).
   return ::write(fd, buf, static_cast<size_t>(len)) == len && ::fsync(fd) == 0;
 }
 
+bool LeaseDir::publish(const std::string& path, const Lease& lease) {
+  // The body is written and fsync'd under a private name first; link(2)
+  // then gives it the lease name only if that name is free. Nobody can
+  // open the lease name and find a partial body.
+  const std::string tmp =
+      path + ".claim." + worker_ + "." +
+      std::to_string(tmp_counter_.fetch_add(1, std::memory_order_relaxed));
+  const int fd =
+      ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+  if (fd < 0) return false;
+  const bool written = write_lease_fd(fd, lease);
+  ::close(fd);
+  const bool linked = written && ::link(tmp.c_str(), path.c_str()) == 0;
+  ::unlink(tmp.c_str());
+  return linked;
+}
+
 std::optional<Lease> LeaseDir::read_lease(const std::string& path,
-                                          uint64_t spec_hash) const {
+                                          uint64_t spec_hash,
+                                          bool* present) const {
   std::ifstream in(path);
+  if (present != nullptr) *present = static_cast<bool>(in);
   if (!in) return std::nullopt;
   std::string line;
   if (!std::getline(in, line)) return std::nullopt;
@@ -92,51 +107,42 @@ std::optional<Lease> LeaseDir::read_lease(const std::string& path,
 std::optional<Lease> LeaseDir::claim(uint64_t spec_hash) {
   const std::string path = lease_path(spec_hash);
 
-  // Fast path: the name is free and O_EXCL makes us its only creator.
-  int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0644);
-  if (fd >= 0) {
+  // Fast path: the name is free, and the link makes us its only holder.
+  // The access() probe keeps a claim on a held cell from paying for the
+  // fsync of a body it cannot publish.
+  if (::access(path.c_str(), F_OK) != 0) {
     Lease lease{spec_hash, worker_, /*fence=*/1, now_ms() + ttl_ms_};
-    const bool ok = write_lease_fd(fd, lease);
-    ::close(fd);
-    if (!ok) {
-      ::unlink(path.c_str());
-      return std::nullopt;
-    }
-    return lease;
+    if (publish(path, lease)) return lease;
+    return std::nullopt;  // a racing claimant published first
   }
-  if (errno != EEXIST) return std::nullopt;
 
   // Existing lease: live holders are left alone; expired (or torn — see
   // header) leases are reclaimed through the rename, whose single winner
   // inherits the fence.
   uint64_t stolen_fence = 0;
-  if (const auto current = read_lease(path, spec_hash)) {
+  bool present = false;
+  if (const auto current = read_lease(path, spec_hash, &present)) {
     if (current->expires_ms > now_ms()) return std::nullopt;
     stolen_fence = current->fence;
+  } else if (!present) {
+    return std::nullopt;  // released since the probe; the next pass claims it
   }
   const std::string steal_path =
       path + ".steal." + worker_ + "." +
-      std::to_string(steal_counter_.fetch_add(1, std::memory_order_relaxed));
+      std::to_string(tmp_counter_.fetch_add(1, std::memory_order_relaxed));
   if (::rename(path.c_str(), steal_path.c_str()) != 0) {
     return std::nullopt;  // lost the steal race (or the holder released)
   }
-  // Re-read through the stolen name: the dying creator's write may have
-  // landed between our first read and the rename.
+  // Re-read through the stolen name: a renewal may have landed between
+  // our first read and the rename.
   if (const auto stolen = read_lease(steal_path, spec_hash)) {
     stolen_fence = stolen->fence;
   }
   ::unlink(steal_path.c_str());
 
-  fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0644);
-  if (fd < 0) return std::nullopt;  // a fresh claimant won the free name
   Lease lease{spec_hash, worker_, stolen_fence + 1, now_ms() + ttl_ms_};
-  const bool ok = write_lease_fd(fd, lease);
-  ::close(fd);
-  if (!ok) {
-    ::unlink(path.c_str());
-    return std::nullopt;
-  }
-  return lease;
+  if (publish(path, lease)) return lease;
+  return std::nullopt;  // a fresh claimant won the free name
 }
 
 bool LeaseDir::renew(const Lease& lease) {

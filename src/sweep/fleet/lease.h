@@ -10,27 +10,27 @@
 // holding a single line `lease worker=<id> fence=<n> expires=<ms>`.
 // The protocol rests on two filesystem atomicities:
 //
-//   * claim: O_CREAT|O_EXCL — exactly one creator wins a free name.
+//   * claim: link(2) of a private, fsync'd temp onto the lease name —
+//     exactly one linker wins a free name, and the name never appears
+//     with a partial body.
 //   * reclaim: rename() of an expired lease to a private name — exactly
-//     one stealer wins; the new lease is then created with the stolen
+//     one stealer wins; the new lease is then linked in with the stolen
 //     fence + 1.
 //
 // Fencing is by (worker, fence) equality, not fence comparison: a worker
 // that stalls past its TTL, loses its lease to a reclaim, and wakes up
 // later finds the on-disk pair no longer matches the handle it holds and
 // must abandon the cell instead of committing. Equality makes fence
-// regressions harmless — a fresh O_EXCL claim that restarts at fence 1
+// regressions harmless — a fresh claim that restarts at fence 1
 // after a steal/release cycle still differs from every previously issued
 // handle in the worker component (a worker holds at most one in-flight
 // claim per cell at a time).
 //
 // Expiry uses wall-clock milliseconds shared across processes; the clock
 // is injectable so lease lifecycle tests can compress hours of
-// kill/expiry/resume schedules into microseconds. A lease whose body is
-// torn (creator died between O_EXCL create and its single write) is
-// treated as immediately reclaimable: the write window is two syscalls
-// wide, and a live creator racing a stealer is protected by the fencing
-// equality check, not by the TTL.
+// kill/expiry/resume schedules into microseconds. A lease file whose body
+// does not parse cannot come from this protocol (bodies are published
+// whole); it is treated as immediately reclaimable rather than waited on.
 //
 // Liveness, not safety, is what leases buy here: cell results are pure
 // functions of their spec, so even a double-compute after a lost lease
@@ -73,6 +73,7 @@ class LeaseDir {
   // Attempts to claim the cell. Returns the held lease, or nullopt when
   // a live (unexpired) holder exists or every atomic step lost its race
   // — never blocks, never spins; callers poll on their own schedule.
+  // Thread-safe against renew/release of other cells on the same object.
   [[nodiscard]] std::optional<Lease> claim(uint64_t spec_hash);
 
   // Pushes the on-disk expiry to now + TTL. False when the on-disk lease
@@ -96,15 +97,21 @@ class LeaseDir {
   [[nodiscard]] std::string lease_path(uint64_t spec_hash) const;
 
  private:
+  // nullopt when the file is absent or its body does not parse;
+  // `present` tells the two apart.
   [[nodiscard]] std::optional<Lease> read_lease(const std::string& path,
-                                                uint64_t spec_hash) const;
+                                                uint64_t spec_hash,
+                                                bool* present = nullptr) const;
   [[nodiscard]] bool write_lease_fd(int fd, const Lease& lease) const;
+  // Publishes `lease` at `path` whole, or not at all: false when the name
+  // is taken or the body could not be written.
+  [[nodiscard]] bool publish(const std::string& path, const Lease& lease);
 
   std::string dir_;
   std::string worker_;
   uint64_t ttl_ms_;
   ClockMsFn clock_;
-  std::atomic<uint64_t> steal_counter_{0};  // unique private steal names
+  std::atomic<uint64_t> tmp_counter_{0};  // unique private claim/steal names
 };
 
 }  // namespace ccas::sweep::fleet

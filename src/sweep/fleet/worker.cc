@@ -5,17 +5,18 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdio>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <thread>
 #include <unordered_set>
 #include <utility>
+#include <vector>
 
-#include "src/check/audit.h"
 #include "src/harness/runner.h"
 #include "src/sim/budget.h"
+#include "src/sweep/commit.h"
 #include "src/sweep/spec_hash.h"
 #include "src/sweep/wire.h"
 #include "src/util/logging.h"
@@ -24,68 +25,62 @@ namespace ccas::sweep::fleet {
 
 namespace {
 
-FailureClass budget_failure_class(BudgetExceeded::Kind kind) {
-  switch (kind) {
-    case BudgetExceeded::Kind::kWallClock: return FailureClass::kBudgetWall;
-    case BudgetExceeded::Kind::kSimEvents: return FailureClass::kBudgetEvents;
-    case BudgetExceeded::Kind::kRssEstimate: return FailureClass::kBudgetRss;
-  }
-  return FailureClass::kException;
-}
+// A lease this worker holds while its cell computes or waits for its
+// commit. A renewal that finds the lease reclaimed sets both flags: `lost`
+// tells the commit to abandon the cell, `cancel` makes the simulator's
+// cooperative budget check abort the in-flight attempt at its next poll —
+// a worker that lost its cell stops burning CPU on a result its new holder
+// is already computing. The wall-clock watchdog shares `cancel`.
+struct HeldLease {
+  explicit HeldLease(Lease l) : lease(std::move(l)) {}
+  Lease lease;
+  std::atomic<bool> lost{false};
+  std::atomic<bool> cancel{false};
+};
 
-// Renews the lease every `interval_ms` on a background thread for as long
-// as the guarded compute runs. A renewal that finds the lease reclaimed
-// sets both flags: `lost` tells the worker to abandon the cell, `cancel`
-// makes the simulator's cooperative budget check abort the in-flight
-// attempt at its next poll — a worker that lost its cell stops burning
-// CPU on a result its new holder is already computing.
-class Heartbeat {
+// Every lease one worker holds: at most two, the computing cell's and the
+// one waiting to commit. The lease keeper renews them all on its tick.
+class HeldLeases {
  public:
-  Heartbeat(LeaseDir& leases, Lease lease, uint64_t interval_ms,
-            std::atomic<bool>* lost, std::atomic<bool>* cancel)
-      : thread_([this, &leases, lease = std::move(lease), interval_ms, lost,
-                 cancel] {
-          std::unique_lock<std::mutex> lock(mu_);
-          for (;;) {
-            if (cv_.wait_for(lock, std::chrono::milliseconds(interval_ms),
-                             [this] { return stopped_; })) {
-              return;
-            }
-            lock.unlock();
-            const bool renewed = leases.renew(lease);
-            lock.lock();
-            if (stopped_) return;
-            if (!renewed) {
-              lost->store(true, std::memory_order_relaxed);
-              cancel->store(true, std::memory_order_relaxed);
-              return;
-            }
-          }
-        }) {}
+  std::shared_ptr<HeldLease> add(const Lease& lease) {
+    auto held = std::make_shared<HeldLease>(lease);
+    std::lock_guard<std::mutex> lock(mu_);
+    held_.push_back(held);
+    return held;
+  }
 
-  ~Heartbeat() { stop(); }
+  void remove(const HeldLease* held) {
+    std::lock_guard<std::mutex> lock(mu_);
+    std::erase_if(held_, [held](const auto& h) { return h.get() == held; });
+  }
 
-  void stop() {
+  void renew_all(LeaseDir& leases) {
+    std::vector<std::shared_ptr<HeldLease>> snapshot;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      stopped_ = true;
+      snapshot = held_;
     }
-    cv_.notify_all();
-    if (thread_.joinable()) thread_.join();
+    for (const auto& held : snapshot) {
+      if (held->lost.load(std::memory_order_relaxed)) continue;
+      if (!leases.renew(held->lease)) {
+        held->lost.store(true, std::memory_order_relaxed);
+        held->cancel.store(true, std::memory_order_relaxed);
+      }
+    }
   }
 
  private:
   std::mutex mu_;
-  std::condition_variable cv_;
-  bool stopped_ = false;
-  std::thread thread_;
+  std::vector<std::shared_ptr<HeldLease>> held_;
 };
 
-struct CellWorkStats {
-  bool committed = false;
-  bool ok = false;       // committed a success (vs a failure record)
-  bool lost = false;
-  bool adopted = false;  // committed from a found results-store entry
+// What the compute thread hands the keeper for one claimed cell.
+struct ComputedCell {
+  ExperimentResult result;
+  std::optional<CellFailure> failure;
+  std::optional<InjectedFault> injected;
+  bool adopted = false;  // result found in the results store, not simulated
+  int attempts = 0;
 };
 
 }  // namespace
@@ -132,101 +127,125 @@ FleetSummary FleetWorker::run(const SweepSpec& sweep) {
   // retries journaled failures. `handled` keys the bound; it also covers
   // failures we committed ourselves (no point re-running our own work).
   std::unordered_set<uint64_t> handled;
+  auto claimable = [&](const std::optional<ManifestRecord>& rec,
+                       uint64_t spec_hash) {
+    if (!rec) return true;
+    if (rec->ok) return false;
+    // Determinism violations are sticky (manifest.h) — re-running cannot
+    // settle which digest was right. Other journaled failures are
+    // eligible for one re-attempt per worker.
+    if (rec->cls == FailureClass::kDeterminism) return false;
+    return handled.count(spec_hash) == 0;
+  };
 
-  auto work_cell = [&](const JobCell& jcell, const SweepCell& cell,
-                       const Lease& lease) -> CellWorkStats {
-    CellWorkStats stats;
-    std::atomic<bool> cancelled{false};
-    std::atomic<bool> lost{false};
-    Heartbeat heartbeat(leases, lease, options_.heartbeat_ms, &lost,
-                        &cancelled);
+  auto note = [&](const SweepCell& cell, const char* what) {
+    if (options_.progress) {
+      std::fprintf(stderr, "[ccas_fleet %s] cell %s: %s\n",
+                   options_.worker_id.c_str(), cell.name.c_str(), what);
+    }
+  };
 
-    std::optional<CellFailure> failure;
-    std::optional<InjectedFault> injected;
-    ExperimentResult result;
-    bool adopted = false;
-    int attempt = 0;
+  // Runs on the worker's own thread while the keeper renews the lease.
+  auto compute = [&](const SweepCell& cell, uint64_t spec_hash,
+                     HeldLease& held) {
+    ComputedCell done;
     for (;;) {
-      ++attempt;
-      failure.reset();
-      try {
-        adopted = false;
-        if (auto cached = store.results().load(jcell.spec_hash)) {
-          // Another worker stored this result but died before journaling
-          // it (the commit order is store-then-journal): adopt it rather
+      ++done.attempts;
+      done.adopted = false;
+      done.failure = run_attempt(cell.name, spec_hash, done.attempts, [&] {
+        if (auto cached = store.results().load(spec_hash)) {
+          // A worker stored this result but died before journaling it
+          // (the commit order is store-then-journal): adopt it rather
           // than recompute — identical bytes either way.
-          result = std::move(*cached);
-          adopted = true;
-        } else {
-          SimBudget budget;
-          budget.cancel = &cancelled;  // heartbeat loss and watchdog share it
-          budget.max_events = options_.max_cell_events;
-          budget.max_rss_bytes = options_.max_cell_rss_bytes;
-          CellWatchdog watchdog(options_.cell_timeout, &cancelled);
-          if (!faults.empty()) {
-            if (auto f = faults.next(cell.name)) {
-              injected = f;
-              execute_injected_fault(*f, &cancelled);
-            }
-          }
-          result = run_experiment(cell.spec, &budget);
-          if (!store.results().store(jcell.spec_hash, result)) {
-            throw CacheIoError("fleet: cannot store result for " +
-                               cache_key_hex(jcell.spec_hash) + " under " +
-                               store.manifest().results_dir());
+          done.result = std::move(*cached);
+          done.adopted = true;
+          return;
+        }
+        SimBudget budget;
+        budget.cancel = &held.cancel;  // lease loss and watchdog share it
+        budget.max_events = options_.max_cell_events;
+        budget.max_rss_bytes = options_.max_cell_rss_bytes;
+        CellWatchdog watchdog(options_.cell_timeout, &held.cancel);
+        if (!faults.empty()) {
+          if (auto f = faults.next(cell.name)) {
+            done.injected = f;
+            execute_injected_fault(*f, &held.cancel);
           }
         }
-      } catch (const BudgetExceeded& e) {
-        failure = CellFailure{cell.name, budget_failure_class(e.kind()),
-                              e.what(), jcell.spec_hash, attempt};
-      } catch (const check::AuditViolationError& e) {
-        failure = CellFailure{cell.name, FailureClass::kAuditViolation,
-                              e.what(), jcell.spec_hash, attempt};
-      } catch (const CacheIoError& e) {
-        failure = CellFailure{cell.name, FailureClass::kCacheIo, e.what(),
-                              jcell.spec_hash, attempt};
-      } catch (const std::exception& e) {
-        failure = CellFailure{cell.name, FailureClass::kException, e.what(),
-                              jcell.spec_hash, attempt};
+        done.result = run_experiment(cell.spec, &budget);
+      });
+      if (held.lost.load(std::memory_order_relaxed) || !done.failure) break;
+      if (!failure_is_transient(done.failure->cls) ||
+          done.attempts > options_.retries) {
+        break;
       }
-      if (lost.load(std::memory_order_relaxed)) break;
-      if (!failure) break;
-      if (failure_is_transient(failure->cls) && attempt <= options_.retries) {
+      std::this_thread::sleep_for(
+          std::chrono::nanoseconds(retry_backoff(done.attempts).ns()));
+    }
+    return done;
+  };
+
+  // Written by the keeper's commits; the worker reads them after drain().
+  bool progressed = false;
+  HeldLeases held_leases;
+
+  // Runs on the keeper: serialize once → results store → fencing check →
+  // journal append → lease release. A failed store or append is retried
+  // with backoff without re-simulating; the fencing check commits only
+  // while the on-disk lease still equals the handle we claimed — a worker
+  // resurrected after its TTL finds a different (worker, fence) pair, or
+  // no lease, and walks away.
+  auto commit = [&](const SweepCell& cell, uint64_t spec_hash,
+                    const std::shared_ptr<HeldLease>& held, ComputedCell& done) {
+    auto fence_holds = [&] {
+      return !held->lost.load(std::memory_order_relaxed) &&
+             leases.still_held(held->lease);
+    };
+    bool holds = !held->lost.load(std::memory_order_relaxed);
+    int attempt = done.attempts;
+    if (holds && !done.failure) {
+      const std::string payload = serialize_result(done.result);
+      for (;; ++attempt) {
+        done.failure = run_attempt(cell.name, spec_hash, attempt, [&] {
+          if (!done.adopted &&
+              !store.results().store_payload(spec_hash, payload)) {
+            throw CacheIoError("fleet: cannot store result for " +
+                               cache_key_hex(spec_hash) + " under " +
+                               store.manifest().results_dir());
+          }
+          holds = fence_holds();
+          if (!holds) return;
+          store.manifest().record_ok(spec_hash, attempt, fnv1a64(payload),
+                                     options_.worker_id, held->lease.fence);
+        });
+        if (!done.failure || !holds ||
+            !failure_is_transient(done.failure->cls) ||
+            attempt > options_.retries) {
+          break;
+        }
         std::this_thread::sleep_for(
             std::chrono::nanoseconds(retry_backoff(attempt).ns()));
-        continue;
       }
-      break;
     }
-    heartbeat.stop();
-
-    // The fencing check: commit only while the on-disk lease still equals
-    // the handle we claimed. A worker resurrected after its TTL finds a
-    // different (worker, fence) pair — or no lease — and walks away.
-    if (lost.load(std::memory_order_relaxed) || !leases.still_held(lease)) {
-      stats.lost = true;
-      if (options_.progress) {
-        std::fprintf(stderr, "[ccas_fleet %s] cell %s: lease lost, abandoned\n",
-                     options_.worker_id.c_str(), cell.name.c_str());
-      }
-      return stats;
+    if (holds && done.failure) holds = fence_holds();
+    held_leases.remove(held.get());
+    if (!holds) {
+      ++summary.lost_leases;
+      note(cell, "lease lost, abandoned");
+      return;
     }
-
-    if (!failure) {
-      store.manifest().record_ok(jcell.spec_hash, attempt,
-                                 fnv1a64(serialize_result(result)),
-                                 options_.worker_id, lease.fence);
-      stats.committed = true;
-      stats.ok = true;
-      stats.adopted = adopted;
-      if (options_.progress) {
-        std::fprintf(stderr, "[ccas_fleet %s] cell %s: ok%s\n",
-                     options_.worker_id.c_str(), cell.name.c_str(),
-                     adopted ? " (adopted from results store)" : "");
+    progressed = true;
+    if (!done.failure) {
+      if (done.adopted) {
+        ++summary.adopted;
+        note(cell, "ok (adopted from results store)");
+      } else {
+        ++summary.computed;
+        note(cell, "ok");
       }
     } else {
       try {
-        store.manifest().record_failure(*failure, options_.worker_id);
+        store.manifest().record_failure(*done.failure, options_.worker_id);
       } catch (const std::exception& e) {
         log_warn("fleet manifest: %s", e.what());
       }
@@ -234,51 +253,56 @@ FleetSummary FleetWorker::run(const SweepSpec& sweep) {
       ctx.cell_timeout = options_.cell_timeout;
       ctx.max_cell_events = options_.max_cell_events;
       ctx.max_cell_rss_bytes = options_.max_cell_rss_bytes;
-      if (injected) {
+      if (done.injected) {
         ctx.injection_env = "seed=" + std::to_string(cell.spec.seed) + ":" +
-                            injected_fault_name(*injected);
+                            injected_fault_name(*done.injected);
       }
-      (void)write_quarantine_file(store.quarantine_dir(), cell, *failure, ctx);
-      stats.committed = true;
-      if (options_.progress) {
-        std::fprintf(stderr, "[ccas_fleet %s] cell %s: FAILED [%s]\n",
-                     options_.worker_id.c_str(), cell.name.c_str(),
-                     failure_class_name(failure->cls));
-      }
+      (void)write_quarantine_file(store.quarantine_dir(), cell, *done.failure,
+                                  ctx);
+      const std::string what = std::string("FAILED [") +
+                               failure_class_name(done.failure->cls) + "]";
+      note(cell, what.c_str());
     }
-    leases.release(lease);
-    return stats;
+    leases.release(held->lease);
   };
+
+  // The lease keeper: one long-lived thread per worker that renews every
+  // held lease each heartbeat and runs this worker's commits in order.
+  CommitPipeline keeper(
+      1, [&] { held_leases.renew_all(leases); },
+      std::chrono::milliseconds(options_.heartbeat_ms));
 
   uint64_t last_progress_ms = leases.now_ms();
   size_t last_covered = 0;
   for (;;) {
     store.manifest().reload();
-    bool progressed = false;
     for (size_t i = 0; i < store.grid().size(); ++i) {
-      const JobCell& jcell = store.grid()[i];
-      const auto rec = store.manifest().lookup(jcell.spec_hash);
-      if (rec) {
-        if (rec->ok) continue;
-        // Determinism violations are sticky (manifest.h) — re-running
-        // cannot settle which digest was right. Other journaled failures
-        // are eligible for one re-attempt per worker.
-        if (rec->cls == FailureClass::kDeterminism) continue;
-        if (handled.count(jcell.spec_hash)) continue;
-      }
-      auto lease = leases.claim(jcell.spec_hash);
+      const uint64_t spec_hash = store.grid()[i].spec_hash;
+      auto rec = store.manifest().lookup(spec_hash);
+      if (!claimable(rec, spec_hash)) continue;
+      auto lease = leases.claim(spec_hash);
       if (!lease) continue;
-      if (rec) ++summary.reattempts;
-      handled.insert(jcell.spec_hash);
-      const CellWorkStats stats =
-          work_cell(jcell, sweep.cells[i], *lease);
-      if (stats.committed) {
-        progressed = true;
-        if (stats.adopted) ++summary.adopted;
-        else if (stats.ok) ++summary.computed;
+      // Holders journal before they release, so a cell another worker
+      // committed since this pass read the journal shows up now: look
+      // again before computing it a second time.
+      if (store.manifest().reload_if_grown()) {
+        rec = store.manifest().lookup(spec_hash);
+        if (!claimable(rec, spec_hash)) {
+          leases.release(*lease);
+          continue;
+        }
       }
-      if (stats.lost) ++summary.lost_leases;
+      if (rec) ++summary.reattempts;
+      handled.insert(spec_hash);
+      const SweepCell& cell = sweep.cells[i];
+      std::shared_ptr<HeldLease> held = held_leases.add(*lease);
+      ComputedCell done = compute(cell, spec_hash, *held);
+      keeper.submit(0, [&commit, &cell, spec_hash, held,
+                        done = std::move(done)]() mutable {
+        commit(cell, spec_hash, held, done);
+      });
     }
+    keeper.drain(0);
 
     store.manifest().reload();
     size_t covered = 0;
@@ -301,6 +325,7 @@ FleetSummary FleetWorker::run(const SweepSpec& sweep) {
     if (progressed || covered != last_covered) {
       last_progress_ms = now;
       last_covered = covered;
+      progressed = false;
     } else if (options_.stall_timeout_ms > 0 &&
                now - last_progress_ms >= options_.stall_timeout_ms) {
       log_warn("fleet worker %s: no progress for %llu ms with %zu cells "
@@ -311,10 +336,18 @@ FleetSummary FleetWorker::run(const SweepSpec& sweep) {
       break;
     }
     // Uncovered cells are leased by other workers (or waiting out a dead
-    // worker's TTL): sleep a heartbeat and look again.
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds(std::min<uint64_t>(options_.heartbeat_ms,
-                                                     200)));
+    // worker's TTL). Wake as soon as the journal grows — another worker
+    // committed — polling from 1 ms and doubling, and look again after
+    // min(heartbeat, 200 ms) in any case.
+    const uint64_t wait_ms = std::min<uint64_t>(options_.heartbeat_ms, 200);
+    uint64_t step_ms = 1;
+    for (uint64_t waited = 0;
+         waited < wait_ms && !store.manifest().grown();) {
+      step_ms = std::min(step_ms, wait_ms - waited);
+      std::this_thread::sleep_for(std::chrono::milliseconds(step_ms));
+      waited += step_ms;
+      step_ms *= 2;
+    }
   }
 
   for (const JobCell& jcell : store.grid()) {

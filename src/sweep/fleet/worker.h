@@ -5,21 +5,29 @@
 // Per pass over the grid, a worker tries to lease every cell the
 // manifest does not yet cover (plus — once per worker per cell — cells
 // with a journaled failure, mirroring how a single-process --resume
-// retries journaled failures). A claimed cell is computed under the same
+// retries journaled failures). A won claim is checked against the journal
+// once more (reloaded only if it grew since the pass began), so a cell
+// another worker committed meanwhile is released, not recomputed. A
+// claimed cell is computed on the worker's thread under the same
 // supervision the thread-pool executor applies (budgets, wall-clock
 // watchdog, fault injection, bounded deterministic retry for transient
-// classes) while a heartbeat thread renews the lease every heartbeat
-// interval; a renewal that discovers the lease was reclaimed cancels the
-// in-flight simulation cooperatively and the cell is abandoned without a
-// journal entry — its new holder owns the commit. Before committing, the
-// worker re-checks lease possession (the fencing-token equality check in
-// lease.h): a worker resurrected after a stall never double-commits over
-// its cell's new holder. The commit order is results-store first, journal
-// append second, so a crash between the two leaves a cache entry the next
-// claimant adopts (journals without recomputing).
+// classes), then handed to the worker's lease keeper (commit.h): one
+// long-lived thread that renews every lease the worker holds each
+// heartbeat interval and runs the worker's commits in order while the
+// worker computes its next cell. A renewal that discovers a lease was
+// reclaimed cancels that cell's in-flight simulation cooperatively and the
+// cell is abandoned without a journal entry — its new holder owns the
+// commit. The commit is results-store first, then the fencing check (the
+// fencing-token equality check in lease.h: a worker resurrected after a
+// stall never double-commits over its cell's new holder), then the
+// journal append, then the lease release — so a crash between store and
+// journal leaves a cache entry the next claimant adopts (journals without
+// recomputing), and a crash before the store loses only the uncommitted
+// cells, which are recomputed like a crash mid-cell.
 //
 // Completion is coordinator-less: a worker keeps passing over the grid —
-// sleeping between passes while other workers hold live leases — until
+// waiting between passes, until the journal grows or for at most
+// min(heartbeat, 200 ms), while other workers hold live leases — until
 // every grid cell has a manifest record, then renders the final report
 // (a pure function of manifest + grid, so every worker renders identical
 // bytes) and exits. There is no "done" message and no coordinator to

@@ -1,6 +1,7 @@
 #include "src/sweep/manifest.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -33,6 +34,11 @@ std::string sanitize_one_line(const std::string& s, size_t max_len = 200) {
     out.push_back((c == '\n' || c == '\r' || c == '\t') ? ' ' : c);
   }
   return out;
+}
+
+int64_t file_bytes(const std::string& path) {
+  struct stat st {};
+  return ::stat(path.c_str(), &st) == 0 ? static_cast<int64_t>(st.st_size) : 0;
 }
 
 bool parse_hex16(const std::string& text, uint64_t& value) {
@@ -141,6 +147,8 @@ SweepManifest::SweepManifest(std::string dir, std::string salt)
       throw std::runtime_error("cannot write sweep manifest header to " +
                                journal_path());
     }
+    std::lock_guard<std::mutex> lock(mu_);
+    known_bytes_ += static_cast<int64_t>(header.size());
   }
 }
 
@@ -151,6 +159,9 @@ SweepManifest::~SweepManifest() {
 void SweepManifest::load_journal_locked() {
   records_.clear();
   saw_header_ = false;
+  // Sized before reading: bytes appended meanwhile are read now and still
+  // show up as growth, which costs one spare reload, never a missed one.
+  known_bytes_ = file_bytes(journal_path());
   std::ifstream in(journal_path());
   std::string line;
   int lineno = 0;
@@ -243,6 +254,18 @@ void SweepManifest::reload() {
   load_journal_locked();
 }
 
+bool SweepManifest::grown() const {
+  const int64_t on_disk = file_bytes(journal_path());
+  std::lock_guard<std::mutex> lock(mu_);
+  return on_disk != known_bytes_;
+}
+
+bool SweepManifest::reload_if_grown() {
+  if (!grown()) return false;
+  reload();
+  return true;
+}
+
 std::string SweepManifest::canonical_text() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<const ManifestRecord*> recs;
@@ -279,6 +302,7 @@ void SweepManifest::append_line(const std::string& line) {
     throw CacheIoError("sweep manifest: append to " + journal_path() +
                        " failed (disk full?)");
   }
+  known_bytes_ += static_cast<int64_t>(buf.size());
 }
 
 void SweepManifest::record_ok(uint64_t spec_hash, int attempts, uint64_t digest,

@@ -100,6 +100,13 @@ class SweepManifest {
   // salt change under our feet throws std::invalid_argument.
   void reload();
 
+  // True when the journal on disk holds bytes this object has neither
+  // loaded nor appended itself: another writer committed since the last
+  // load. One stat(2), so the fleet can poll it while it waits.
+  [[nodiscard]] bool grown() const;
+  // reload() only when grown(); returns whether it reloaded.
+  bool reload_if_grown();
+
   // Canonical, schedule-independent rendering of the journal state: one
   // line per record, sorted by spec hash, without attempts/worker/fence
   // (which legitimately differ between runs). Two sweeps of the same grid
@@ -122,6 +129,9 @@ class SweepManifest {
   std::unordered_map<uint64_t, ManifestRecord> records_;
   mutable std::mutex mu_;
   bool saw_header_ = false;
+  // Journal bytes accounted for: the size seen when the last load began,
+  // plus every byte appended through fd_ since.
+  int64_t known_bytes_ = 0;
   int fd_ = -1;  // O_WRONLY | O_APPEND journal handle
 };
 

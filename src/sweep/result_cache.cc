@@ -306,7 +306,10 @@ std::optional<ExperimentResult> ResultCache::load(uint64_t key) const {
 }
 
 bool ResultCache::store(uint64_t key, const ExperimentResult& result) const {
-  const std::string payload = serialize_result(result);
+  return store_payload(key, serialize_result(result));
+}
+
+bool ResultCache::store_payload(uint64_t key, const std::string& payload) const {
   std::string file;
   file.reserve(payload.size() + 64);
   put_string(file, kMagic);

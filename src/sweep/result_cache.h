@@ -52,6 +52,9 @@ class ResultCache {
   // was meant to be written; a mismatch removes the bad entry and
   // retries after a short deterministic backoff.
   bool store(uint64_t key, const ExperimentResult& result) const;
+  // The same for an already serialized result (serialize_result bytes), so
+  // a commit that also digests or stores the payload twice serializes once.
+  bool store_payload(uint64_t key, const std::string& payload) const;
   static constexpr int kStoreAttempts = 3;
 
   // Test-only: make the next `n` store attempts write a truncated entry

@@ -20,6 +20,15 @@ std::chrono::nanoseconds to_chrono(TimeDelta d) {
   return std::chrono::nanoseconds(d.ns());
 }
 
+FailureClass budget_failure_class(BudgetExceeded::Kind kind) {
+  switch (kind) {
+    case BudgetExceeded::Kind::kWallClock: return FailureClass::kBudgetWall;
+    case BudgetExceeded::Kind::kSimEvents: return FailureClass::kBudgetEvents;
+    case BudgetExceeded::Kind::kRssEstimate: return FailureClass::kBudgetRss;
+  }
+  return FailureClass::kException;
+}
+
 }  // namespace
 
 // ---- failure taxonomy ----------------------------------------------------
@@ -55,6 +64,33 @@ bool failure_is_transient(FailureClass cls) {
 bool failure_is_budget(FailureClass cls) {
   return cls == FailureClass::kBudgetWall || cls == FailureClass::kBudgetEvents ||
          cls == FailureClass::kBudgetRss;
+}
+
+std::optional<CellFailure> run_attempt(const std::string& cell,
+                                       uint64_t spec_hash, int attempt,
+                                       const std::function<void()>& body,
+                                       std::exception_ptr* error) {
+  try {
+    body();
+    return std::nullopt;
+  } catch (...) {
+    if (error != nullptr) *error = std::current_exception();
+    try {
+      throw;
+    } catch (const BudgetExceeded& e) {
+      return CellFailure{cell, budget_failure_class(e.kind()), e.what(),
+                         spec_hash, attempt};
+    } catch (const check::AuditViolationError& e) {
+      return CellFailure{cell, FailureClass::kAuditViolation, e.what(),
+                         spec_hash, attempt};
+    } catch (const CacheIoError& e) {
+      return CellFailure{cell, FailureClass::kCacheIo, e.what(), spec_hash,
+                         attempt};
+    } catch (const std::exception& e) {
+      return CellFailure{cell, FailureClass::kException, e.what(), spec_hash,
+                         attempt};
+    }
+  }
 }
 
 TimeDelta retry_backoff(int attempt) {

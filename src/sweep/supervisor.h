@@ -21,6 +21,8 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <exception>
+#include <functional>
 #include <mutex>
 #include <optional>
 #include <stdexcept>
@@ -72,6 +74,14 @@ class CacheIoError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
 };
+
+// Runs one attempt of `cell` and classifies what it threw: nullopt when
+// `body` returns, otherwise the CellFailure of the matching class (budget,
+// audit, cache I/O, any other exception). `error`, when given, receives
+// the original exception — fail_fast rethrows it.
+[[nodiscard]] std::optional<CellFailure> run_attempt(
+    const std::string& cell, uint64_t spec_hash, int attempt,
+    const std::function<void()>& body, std::exception_ptr* error = nullptr);
 
 // Deterministic exponential backoff before retry `attempt` (1-based count
 // of attempts already made): 10ms, 20ms, 40ms, ... capped at 200ms. No

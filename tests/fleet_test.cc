@@ -8,6 +8,9 @@
 // stall timeout), N-worker byte-identity against a serial sweep, and a
 // randomized kill/resume property test that must converge to the same
 // manifest bytes as a single worker.
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -195,6 +198,47 @@ TEST(FleetLease, TornLeaseBodyIsImmediatelyReclaimable) {
   const auto lease = a.claim(5);
   ASSERT_TRUE(lease.has_value());
   EXPECT_EQ(lease->fence, 1u);
+}
+
+TEST(FleetLease, ReadersNeverSeeAPartialLeaseBody) {
+  TempDir dir("lease_publish");
+  LeaseDir a(dir.str(), "a", 600'000);
+  const std::string path = a.lease_path(11);
+  std::atomic<bool> stop{false};
+  std::atomic<int> seen{0};
+  std::atomic<int> partial{0};
+  // A racing claimant reads the lease to decide whether it is live; a
+  // body it cannot parse reads as torn and would be stolen.
+  auto read_loop = [&] {
+    char buf[256];
+    while (!stop.load(std::memory_order_relaxed)) {
+      const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+      if (fd < 0) continue;
+      const ssize_t n = ::read(fd, buf, sizeof(buf));
+      ::close(fd);
+      seen.fetch_add(1, std::memory_order_relaxed);
+      const std::string body(buf, n > 0 ? static_cast<size_t>(n) : 0);
+      if (body.rfind("lease worker=a fence=1 expires=", 0) != 0 ||
+          body.back() != '\n') {
+        partial.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+  };
+  std::thread reader(read_loop);
+  std::thread reader2(read_loop);
+  int claimed = 0;
+  for (int i = 0; i < 1000; ++i) {
+    const auto lease = a.claim(11);
+    if (!lease) continue;
+    ++claimed;
+    a.release(*lease);
+  }
+  stop.store(true);
+  reader.join();
+  reader2.join();
+  EXPECT_EQ(claimed, 1000);
+  EXPECT_GT(seen.load(), 0) << "the reader never saw a lease file";
+  EXPECT_EQ(partial.load(), 0);
 }
 
 TEST(FleetLease, RejectsZeroTtl) {
@@ -587,6 +631,61 @@ TEST(FleetWorker, ThreeConcurrentWorkersAreByteIdenticalToSerial) {
     EXPECT_EQ(read_file(fleet_dir.str() + "/results/" + name + ".ccres"),
               read_file(serial_dir.str() + "/results/" + name + ".ccres"));
   }
+}
+
+TEST(FleetWorker, TwoWorkersComputeEveryCellOnceWithoutLostLeases) {
+  TempDir fleet_dir("worker_two");
+  TempDir serial_dir("worker_two_serial");
+  const SweepSpec sweep = tiny_sweep(24);
+
+  std::vector<std::thread> threads;
+  std::vector<FleetSummary> summaries(2);
+  for (int w = 0; w < 2; ++w) {
+    threads.emplace_back([&, w] {
+      try {
+        FleetWorker worker(
+            quiet_fleet(fleet_dir.str(), "w" + std::to_string(w)));
+        summaries[static_cast<size_t>(w)] = worker.run(sweep);
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "worker " << w << " threw: " << e.what();
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+
+  // A claim re-checks the journal, so neither worker adopts a cell the
+  // other committed; claims publish whole lease bodies, so neither loses
+  // a lease to a misread.
+  int computed = 0;
+  for (const FleetSummary& s : summaries) {
+    EXPECT_TRUE(s.complete);
+    EXPECT_EQ(s.exit_code, 0);
+    EXPECT_EQ(s.adopted, 0);
+    EXPECT_EQ(s.lost_leases, 0);
+    computed += s.computed;
+  }
+  EXPECT_EQ(computed, 24);
+
+  SweepOptions serial;
+  serial.jobs = 1;
+  serial.progress = false;
+  serial.resume_dir = serial_dir.str();
+  SweepExecutor executor(serial);
+  (void)executor.run(sweep);
+
+  SweepManifest fleet_manifest(fleet_dir.str(), kSalt);
+  SweepManifest serial_manifest(serial_dir.str(), kSalt);
+  EXPECT_EQ(fleet_manifest.canonical_text(), serial_manifest.canonical_text());
+  for (const SweepCell& cell : sweep.cells) {
+    const std::string name = cache_key_hex(spec_cache_key(cell.spec, kSalt));
+    const std::string fleet_bytes =
+        read_file(fleet_dir.str() + "/results/" + name + ".ccres");
+    ASSERT_FALSE(fleet_bytes.empty());
+    EXPECT_EQ(fleet_bytes,
+              read_file(serial_dir.str() + "/results/" + name + ".ccres"));
+  }
+  EXPECT_FALSE(fs::exists(fleet_dir.str() + "/quarantine") &&
+               !fs::is_empty(fleet_dir.str() + "/quarantine"));
 }
 
 TEST(FleetWorker, AdoptsResultsStoredByACrashedWorker) {

@@ -2,8 +2,9 @@
 // per-cell budgets (events / RSS / wall-clock watchdog), failure isolation
 // with partial results, transient retry, the resumable manifest (journal
 // round trip, salt pinning, torn tails, byte-identical resume), quarantine
-// .repro emission, result-cache write hardening, the spec→CLI renderer,
-// and a property test over randomly faulted sweeps.
+// .repro emission, result-cache write hardening, commit failures on the
+// executor's writer thread, the spec→CLI renderer, and a property test
+// over randomly faulted sweeps.
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -489,6 +490,22 @@ TEST(SweepManifest, LaterDuplicateRecordWins) {
   EXPECT_EQ(rec->attempts, 3);
 }
 
+TEST(SweepManifest, GrowthCountsOnlyOtherWritersAppends) {
+  TempDir dir("growth");
+  SweepManifest mine(dir.str(), "salt-a");
+  SweepManifest theirs(dir.str(), "salt-a");
+  EXPECT_FALSE(mine.grown());
+  // A writer's own appends are already folded in: no reload is due.
+  theirs.record_ok(0xdddd, 1);
+  EXPECT_FALSE(theirs.grown());
+  EXPECT_TRUE(mine.grown());
+  EXPECT_EQ(mine.lookup(0xdddd), std::nullopt);
+  EXPECT_TRUE(mine.reload_if_grown());
+  ASSERT_TRUE(mine.lookup(0xdddd).has_value());
+  EXPECT_FALSE(mine.grown());
+  EXPECT_FALSE(mine.reload_if_grown());
+}
+
 // ---------------------------------------------------------------------------
 // Resume.
 // ---------------------------------------------------------------------------
@@ -626,6 +643,123 @@ TEST(ResultCacheHardening, TruncatedEntryTriggersRecompute) {
   SweepExecutor third(opts);
   (void)third.run(sweep);
   EXPECT_EQ(third.summary().from_cache, 3);
+}
+
+// ---------------------------------------------------------------------------
+// Commit failures: the writer thread stores and journals each computed
+// cell, and retries a failed commit without simulating the cell again.
+// ---------------------------------------------------------------------------
+
+SweepOptions resume_options(const std::string& dir) {
+  SweepOptions opts = quiet_options();
+  opts.jobs = 1;
+  opts.resume_dir = dir;
+  return opts;
+}
+
+TEST(SweepCommit, TornResultWritesAreRepairedInsideOneCommit) {
+  TempDir dir("commit_torn");
+  SweepSpec sweep;
+  sweep.add_cell("c", small_spec());
+  SweepExecutor executor(resume_options(dir.str()));
+  executor.inject_commit_write_failures(ResultCache::kStoreAttempts - 1);
+  const auto outcomes = executor.run(sweep);
+  ASSERT_EQ(outcomes[0].status, CellStatus::kOk);
+  EXPECT_EQ(outcomes[0].attempts, 1);
+  EXPECT_EQ(executor.summary().retries, 0);
+  EXPECT_EQ(executor.summary().sim_events, outcomes[0].result.sim_events);
+
+  SweepManifest manifest(dir.str(), std::string(kSweepCodeSalt));
+  const auto rec = manifest.lookup(outcomes[0].cache_key);
+  ASSERT_TRUE(rec.has_value());
+  EXPECT_TRUE(rec->ok);
+  EXPECT_EQ(rec->attempts, 1);
+  const auto stored = ResultCache(manifest.results_dir()).load(outcomes[0].cache_key);
+  ASSERT_TRUE(stored.has_value());
+  EXPECT_EQ(digest(*stored), digest(outcomes[0].result));
+}
+
+TEST(SweepCommit, AFailedStoreIsRetriedByTheWriterWithTheComputedResult) {
+  TempDir dir("commit_retry");
+  SweepSpec sweep;
+  sweep.add_cell("c", small_spec());
+  SweepOptions opts = resume_options(dir.str());
+  opts.retries = 2;
+  SweepExecutor executor(opts);
+  // The first commit's store() tears all its writes; the retried commit
+  // tears one more and then lands.
+  executor.inject_commit_write_failures(ResultCache::kStoreAttempts + 1);
+  const auto outcomes = executor.run(sweep);
+  ASSERT_EQ(outcomes[0].status, CellStatus::kOk);
+  EXPECT_EQ(outcomes[0].attempts, 2);
+  EXPECT_EQ(executor.summary().retries, 1);
+  EXPECT_EQ(executor.summary().sim_events, outcomes[0].result.sim_events);
+
+  SweepExecutor bare(quiet_options());
+  EXPECT_EQ(digest(outcomes[0].result), digest(bare.run(sweep)[0].result));
+  SweepManifest manifest(dir.str(), std::string(kSweepCodeSalt));
+  const auto rec = manifest.lookup(outcomes[0].cache_key);
+  ASSERT_TRUE(rec.has_value());
+  EXPECT_TRUE(rec->ok);
+  EXPECT_EQ(rec->attempts, 2);
+}
+
+TEST(SweepCommit, AStoreThatNeverLandsFailsTheCellWithARecordAndARepro) {
+  TempDir dir("commit_dead");
+  SweepSpec sweep;
+  sweep.add_cell("c", small_spec());
+  SweepOptions opts = resume_options(dir.str());
+  opts.retries = 1;
+  SweepExecutor executor(opts);
+  executor.inject_commit_write_failures(1'000'000);
+  const auto outcomes = executor.run(sweep);
+  ASSERT_EQ(outcomes[0].status, CellStatus::kFailed);
+  ASSERT_TRUE(outcomes[0].failure.has_value());
+  EXPECT_EQ(outcomes[0].failure->cls, FailureClass::kCacheIo);
+  EXPECT_EQ(outcomes[0].attempts, 2);  // first commit + one retry
+  EXPECT_EQ(executor.summary().failed, 1);
+
+  SweepManifest manifest(dir.str(), std::string(kSweepCodeSalt));
+  const auto rec = manifest.lookup(outcomes[0].cache_key);
+  ASSERT_TRUE(rec.has_value());
+  EXPECT_FALSE(rec->ok);
+  EXPECT_EQ(rec->cls, FailureClass::kCacheIo);
+  EXPECT_TRUE(fs::exists(manifest.quarantine_dir() + "/" +
+                         cache_key_hex(outcomes[0].cache_key) + ".repro"));
+}
+
+TEST(SweepCommit, FailFastRethrowsACommitFailure) {
+  TempDir dir("commit_fail_fast");
+  SweepSpec sweep;
+  sweep.add_cell("c", small_spec());
+  SweepOptions opts = resume_options(dir.str());
+  opts.fail_fast = true;
+  SweepExecutor executor(opts);
+  executor.inject_commit_write_failures(1'000'000);
+  EXPECT_THROW((void)executor.run(sweep), CacheIoError);
+}
+
+TEST(SweepCommit, MaxFailuresStopsTheSweepOnCommitFailures) {
+  TempDir dir("commit_max_failures");
+  SweepSpec sweep;
+  for (int i = 0; i < 4; ++i) {
+    sweep.add_cell("c" + std::to_string(i),
+                   small_spec("newreno", 1, 20 + static_cast<uint64_t>(i)));
+  }
+  SweepOptions opts = resume_options(dir.str());
+  opts.retries = 0;
+  opts.max_failures = 1;
+  SweepExecutor executor(opts);
+  executor.inject_commit_write_failures(1'000'000);
+  const auto outcomes = executor.run(sweep);
+  // Cell 0's commit fails while the compute thread simulates cell 1 (if
+  // it claimed it in time); the thread hands cell 1 over only after that
+  // commit settles, sees the abort, and claims nothing more.
+  EXPECT_EQ(outcomes[0].status, CellStatus::kFailed);
+  EXPECT_NE(outcomes[1].status, CellStatus::kOk);
+  EXPECT_EQ(outcomes[2].status, CellStatus::kSkipped);
+  EXPECT_EQ(outcomes[3].status, CellStatus::kSkipped);
+  EXPECT_GE(executor.summary().skipped, 2);
 }
 
 // ---------------------------------------------------------------------------

@@ -2,18 +2,24 @@
 // the code salt must perturb the key), deterministic per-cell seeds, the
 // on-disk result cache (round trip, corruption, atomicity), and the
 // executor's core guarantee — results are identical at any --jobs level
-// and a warm cache serves every cell.
+// and a warm cache serves every cell — and the commit pipeline behind it
+// (FIFO order, one pending commit per compute thread, the keeper's tick).
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <set>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/harness/runner.h"
+#include "src/sweep/commit.h"
 #include "src/sweep/executor.h"
 #include "src/sweep/result_cache.h"
 #include "src/sweep/spec_hash.h"
@@ -305,6 +311,81 @@ TEST(ResultCache, RejectsGarbageFile) {
     out << "this is not a cache entry";
   }
   EXPECT_FALSE(cache.load(5).has_value());
+}
+
+// ---------------------------------------------------------------------------
+// Commit pipeline.
+// ---------------------------------------------------------------------------
+
+TEST(CommitPipeline, RunsJobsInSubmissionOrder) {
+  std::vector<std::pair<int, int>> ran;  // touched by the writer only
+  {
+    CommitPipeline pipeline(2);
+    for (int k = 0; k < 50; ++k) {
+      for (int lane = 0; lane < 2; ++lane) {
+        pipeline.submit(lane, [&ran, lane, k] { ran.emplace_back(lane, k); });
+      }
+    }
+  }  // the destructor runs whatever is still queued
+  ASSERT_EQ(ran.size(), 100u);
+  int next[2] = {0, 0};
+  for (const auto& [lane, k] : ran) {
+    EXPECT_EQ(k, next[lane]) << "lane " << lane;
+    ++next[lane];
+  }
+}
+
+TEST(CommitPipeline, EachLaneHasAtMostOneJobPending) {
+  CommitPipeline pipeline(2);
+  std::atomic<bool> release{false};
+  std::atomic<bool> second_queued{false};
+  pipeline.submit(0, [&release] {
+    while (!release.load()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  });
+  std::thread submitter([&] {
+    pipeline.submit(0, [] {});
+    second_queued.store(true);
+  });
+  // Another lane is not held back by lane 0's pending job.
+  pipeline.submit(1, [] {});
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  EXPECT_FALSE(second_queued.load()) << "lane 0 queued a second job early";
+  release.store(true);
+  submitter.join();
+  EXPECT_TRUE(second_queued.load());
+  pipeline.drain(0);
+  pipeline.drain(1);
+}
+
+TEST(CommitPipeline, DrainWaitsForTheLanesJob) {
+  CommitPipeline pipeline(1);
+  bool done = false;
+  pipeline.submit(0, [&done] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    done = true;
+  });
+  pipeline.drain(0);
+  EXPECT_TRUE(done);
+}
+
+TEST(CommitPipeline, TickRunsOnTheWriterBetweenJobs) {
+  std::atomic<int> ticks{0};
+  std::thread::id tick_thread;
+  std::thread::id job_thread;
+  {
+    CommitPipeline pipeline(
+        1,
+        [&] {
+          tick_thread = std::this_thread::get_id();
+          ticks.fetch_add(1);
+        },
+        std::chrono::milliseconds(1));
+    pipeline.submit(0, [&job_thread] { job_thread = std::this_thread::get_id(); });
+    pipeline.drain(0);
+    while (ticks.load() < 3) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(tick_thread, job_thread);
+  EXPECT_NE(job_thread, std::this_thread::get_id());
 }
 
 // ---------------------------------------------------------------------------

@@ -155,6 +155,23 @@ if ! cmp -s "$WORK/ref.out" "$WORK/resumed.norm"; then
   FAILURES=$((FAILURES + 1))
 fi
 
+# The same interruption with two compute threads: the executor's writer
+# thread then commits one cell while the other thread simulates, and the
+# abort can land after the second thread has claimed a cell. The resumed
+# output must still equal the baseline.
+run_case resume-interrupt-jobs2 2 "$WORK/interrupted2.out" \
+  env CCAS_FAIL_CELL='seed=1:throw' \
+  "$RUN" "${BASE_FLAGS[@]}" --jobs=2 --seeds=1,2,3 --max-failures=1 \
+  --resume="$WORK/resume2"
+run_case resume-finish-jobs2 0 "$WORK/resumed2.out" \
+  "$RUN" "${BASE_FLAGS[@]}" --jobs=2 --seeds=1,2,3 --resume="$WORK/resume2"
+sed 's/ (cached)//' "$WORK/resumed2.out" >"$WORK/resumed2.norm"
+if ! cmp -s "$WORK/ref.out" "$WORK/resumed2.norm"; then
+  echo "FAIL [resume-finish-jobs2]: resumed output differs from uninterrupted run" >&2
+  diff "$WORK/ref.out" "$WORK/resumed2.norm" | sed 's/^/    /' >&2
+  FAILURES=$((FAILURES + 1))
+fi
+
 # --- 7. Manifest salt mismatch is refused with exit 1 ----------------------
 mkdir -p "$WORK/stale"
 printf 'ccas-sweep-manifest v1 salt=some-older-simulator\n' \
